@@ -25,9 +25,10 @@ performance trajectory to compare against.  Stages:
   launch to last exit — what multi-worker sharding buys end to end,
   including process startup and lease traffic;
 * ``batch_grid`` — a cold ``y × GLB × PE-buffer × PE-count`` grid (serial,
-  one process) evaluated through the scheduler twice: once per-point
-  (``use_batch=False``, the golden loop) and once through the vectorized
-  batch engine (:mod:`repro.model.batch`), recording both wall times,
+  one process) evaluated twice: once per-point (one
+  ``ExTensorModel.evaluate_workload`` call per cell, the engine loop) and
+  once through the scheduler's vectorized batch engine
+  (:mod:`repro.model.batch`), recording both wall times,
   cells/second, and ``speedup_batch_vs_loop``.  Runs even on 1-core
   machines — it measures the serial evaluation kernel, not pool scaling;
 * ``search`` — the design-space search benchmark grid run twice: brute
@@ -204,6 +205,7 @@ def _bench_batch_grid() -> dict:
     the difference is purely the per-cell evaluation path.
     """
     from repro.accelerator.config import scaled_default_config
+    from repro.accelerator.extensor import AcceleratorVariant, ExTensorModel
     from repro.experiments.scheduler import EvaluationRequest
 
     y_values = (0.02, 0.05, 0.08, 0.10, 0.14, 0.18, 0.22, 0.30)
@@ -234,17 +236,29 @@ def _bench_batch_grid() -> dict:
         for name in names for architecture in architectures for y in y_values
     ]
 
-    def cold_run(use_batch: bool) -> float:
+    def cold_batched() -> float:
         clear_process_caches()
-        scheduler = EvaluationScheduler(max_workers=1, use_batch=use_batch)
         start = time.perf_counter()
-        stats = scheduler.prefetch(requests)
+        stats = EvaluationScheduler(max_workers=1).prefetch(requests)
         seconds = time.perf_counter() - start
         assert stats.computed == len(requests), "grid cells were not cold"
         return seconds
 
-    batched = cold_run(True)
-    loop = cold_run(False)
+    def cold_loop() -> float:
+        clear_process_caches()
+        start = time.perf_counter()
+        context = ExperimentContext.full()
+        for request in requests:
+            ExTensorModel(request.architecture, [
+                AcceleratorVariant.naive(),
+                AcceleratorVariant.prescient(),
+                AcceleratorVariant.overbooking(
+                    overbooking_target=request.overbooking_target),
+            ]).evaluate_workload(context.workload(request.workload))
+        return time.perf_counter() - start
+
+    batched = cold_batched()
+    loop = cold_loop()
     cells = len(requests)
     return {
         "cells": cells,

@@ -3,10 +3,10 @@ Overbooking Buffer Capacity* (MICRO 2023).
 
 The package is organized as:
 
-* :mod:`repro.tensor` — sparse tensor substrate (formats, generators, the
-  synthetic evaluation suite).
+* :mod:`repro.tensor` — sparse tensor substrate (sparse matrices,
+  generators, the synthetic evaluation suite).
 * :mod:`repro.tiling` — coordinate-space and position-space tiling baselines.
-* :mod:`repro.buffers` — EDDO storage idioms (FIFO, buffets, caches).
+* :mod:`repro.buffers` — EDDO storage idioms (buffets, caches).
 * :mod:`repro.core` — the paper's contribution: Tailors, Swiftiles, the
   overbooking tiler, and reuse accounting.
 * :mod:`repro.accelerator`, :mod:`repro.model`, :mod:`repro.energy` — the

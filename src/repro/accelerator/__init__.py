@@ -7,18 +7,12 @@ memory hierarchy (Fig. 4).  This subpackage models that accelerator:
 * :mod:`repro.accelerator.config` — architectural geometry (buffer sizes,
   PE count, bandwidths, clock), including the paper's absolute configuration
   and the scaled configuration used with the synthetic workload suite.
-* :mod:`repro.accelerator.dataflow` — the loop nest / stationarity of the
-  evaluated dataflow and the tile-pass bookkeeping it implies.
-* :mod:`repro.accelerator.agen` — the sparse address generator (AGEN) that
-  walks CSF tiles and produces fill/read traces.
-* :mod:`repro.accelerator.intersection` — the coordinate-intersection unit.
 * :mod:`repro.accelerator.pe` — the processing-element datapath model.
 * :mod:`repro.accelerator.extensor` — the three evaluated variants
   (ExTensor-N, ExTensor-P, ExTensor-OB) wired to the analytical engine.
 """
 
 from repro.accelerator.config import ArchitectureConfig, paper_extensor_config, scaled_default_config
-from repro.accelerator.dataflow import DataflowSpec, extensor_dataflow
 from repro.accelerator.extensor import (
     AcceleratorVariant,
     ExTensorModel,
@@ -32,8 +26,6 @@ __all__ = [
     "ArchitectureConfig",
     "paper_extensor_config",
     "scaled_default_config",
-    "DataflowSpec",
-    "extensor_dataflow",
     "AcceleratorVariant",
     "ExTensorModel",
     "VARIANT_NAIVE",

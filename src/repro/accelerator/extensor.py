@@ -12,8 +12,10 @@ idiom that makes overbooking safe):
 * **ExTensor-OB** — overbooked tiles sized by Swiftiles (y = 10% by default),
   executed with Tailors buffers.
 
-:class:`ExTensorModel` bundles an architecture, the analytical engine, and the
-variant definitions, and is the object the experiment harness drives.
+:class:`ExTensorModel` bundles an architecture, the per-point analytical
+engine, and the variant definitions.  The experiment harness evaluates
+through :mod:`repro.model.batch` instead; ``ExTensorModel`` is the
+independent per-point oracle the tests hold that evaluator to.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ accelerator can use:
   (high overhead for accelerators, but they tolerate overflowing working
   sets, which is the behaviour overbooking wants without the cost).
 
-This subpackage implements those three idioms as functional models that count
-every access, so the accelerator model and the reuse experiments can charge
-traffic and energy to them.  The paper's contribution — Tailors — extends the
+This subpackage implements buffets and caches as functional models that
+count every access, so the reuse experiments can charge traffic and energy to
+them.  The paper's contribution — Tailors — extends the
 buffet idiom and lives in :mod:`repro.core.tailors`.
 """
 
@@ -24,7 +24,6 @@ from repro.buffers.base import (
     StorageIdiom,
 )
 from repro.buffers.credits import CreditChannel
-from repro.buffers.fifo import FifoBuffer
 from repro.buffers.buffet import Buffet
 from repro.buffers.cache import LruCache
 
@@ -35,7 +34,6 @@ __all__ = [
     "BufferStallError",
     "StorageIdiom",
     "CreditChannel",
-    "FifoBuffer",
     "Buffet",
     "LruCache",
 ]

@@ -337,10 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=None, metavar="N",
                      help="worker processes for the evaluation scheduler "
                           "(default: CPU count; 1 = serial)")
-    run.add_argument("--no-batch", action="store_true",
-                     help="evaluate one grid cell at a time instead of "
-                          "through the vectorized batch engine (escape "
-                          "hatch; results are bit-identical either way)")
     run.add_argument("--no-surrogate", action="store_true",
                      help="for search-driven experiments (fig14): evaluate "
                           "every candidate exactly instead of surrogate "
@@ -359,10 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_arguments(sweep)
     sweep.add_argument("--workers", type=int, default=None, metavar="N",
                        help="worker processes (default: CPU count; 1 = serial)")
-    sweep.add_argument("--no-batch", action="store_true",
-                       help="evaluate one grid cell at a time instead of "
-                            "through the vectorized batch engine (escape "
-                            "hatch; artifacts are byte-identical either way)")
     sweep.add_argument("--output-dir", type=Path, default=Path("artifacts"),
                        metavar="DIR",
                        help="artifact directory (default: artifacts/)")
@@ -465,10 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--workers", type=int, default=None, metavar="N",
                         help="worker processes (default: CPU count; "
                              "1 = serial)")
-    search.add_argument("--no-batch", action="store_true",
-                        help="evaluate one design point at a time instead of "
-                             "through the vectorized batch engine (escape "
-                             "hatch; results are bit-identical either way)")
     search.add_argument("--output-dir", type=Path, default=Path("artifacts"),
                         metavar="DIR",
                         help="artifact directory (default: artifacts/)")
@@ -495,9 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how long each pass waits for more clients to "
                             "coalesce with it (default: "
                             f"{SERVER_DEFAULT_BATCH_WINDOW:g}s; 0 disables)")
-    serve.add_argument("--no-batch", action="store_true",
-                       help="evaluate one cell at a time instead of through "
-                            "the vectorized batch engine")
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request to stderr")
     _add_store_argument(serve)
@@ -656,8 +641,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.suite, overbooking_target=args.overbooking_target,
                 kernel=args.kernel)
 
-    scheduler = EvaluationScheduler(max_workers=args.workers, store=store,
-                                    use_batch=not args.no_batch)
+    scheduler = EvaluationScheduler(max_workers=args.workers, store=store)
     start = time.perf_counter()
     if context is not None:
         stats = scheduler.prefetch_experiments(context, selected, params)
@@ -764,7 +748,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             shard=args.shard,
             store=_store_for(args),
             lease_ttl=args.lease_ttl,
-            use_batch=not args.no_batch,
             **_grid_kwargs(args),
         )
         print(format_shard_stats(stats), file=sys.stderr)
@@ -789,7 +772,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         store=_store_for(args),
         resume=args.resume,
-        use_batch=not args.no_batch,
     )
     print(format_summaries(result))
     resumed = (f" ({result.schedule.store_hits} cell(s) resumed from the "
@@ -826,7 +808,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         workloads=_parse_workload_subset(args),
         max_workers=args.workers,
         store=_store_for(args),
-        use_batch=not args.no_batch,
         use_surrogate=not args.no_surrogate,
         surrogate_budget=args.surrogate_budget,
         constraints=args.constraint,
@@ -893,7 +874,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = _store_for(args)
     server = create_server(
         host=args.host, port=args.port, store=store,
-        max_workers=args.workers, use_batch=not args.no_batch,
+        max_workers=args.workers,
         batch_window=args.batch_window, verbose=args.verbose)
     host, port = server.server_address[:2]
     store_note = str(store.root) if store is not None else "none (in-memory)"

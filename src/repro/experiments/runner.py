@@ -8,11 +8,10 @@ from typing import Dict, List, Optional
 from repro.accelerator.config import ArchitectureConfig, scaled_default_config
 from repro.accelerator.extensor import (
     AcceleratorVariant,
-    ExTensorModel,
     VARIANT_NAIVE,
-    VARIANT_OVERBOOKING,
     VARIANT_PRESCIENT,
 )
+from repro.model.batch import BatchWorkloadEvaluator
 from repro.model.stats import PerformanceReport
 from repro.model.workload import WorkloadDescriptor
 from repro.tensor.kernels import kernel_spec
@@ -24,8 +23,8 @@ from repro.tensor.suite import WorkloadSuite, default_suite, small_suite
 #: workload),
 #: and :class:`~repro.model.stats.PerformanceReport` is immutable, so contexts
 #: over the same canonical suite share evaluations — a fresh
-#: ``ExperimentContext.full()`` does not re-run the engine for workloads an
-#: earlier context already evaluated.  Custom suites (``cache_token is None``)
+#: ``ExperimentContext.full()`` does not re-evaluate workloads an earlier
+#: context already evaluated.  Custom suites (``cache_token is None``)
 #: never share.
 _REPORT_MEMO: Dict[tuple, Dict[str, PerformanceReport]] = {}
 
@@ -71,7 +70,7 @@ def store_memoized_reports(memo_key: tuple,
 
     The scheduler calls this with reports evaluated in worker processes;
     afterwards any context over the same canonical suite serves them from the
-    memo instead of re-running the engine.
+    memo instead of re-evaluating them.
     """
     _REPORT_MEMO[memo_key] = dict(reports)
 
@@ -100,7 +99,6 @@ class ExperimentContext:
     architecture: ArchitectureConfig = field(default_factory=scaled_default_config)
     overbooking_target: float = 0.10
     kernel: str = "gram"
-    _model: Optional[ExTensorModel] = field(default=None, repr=False)
     _workloads: Dict[str, WorkloadDescriptor] = field(default_factory=dict, repr=False)
     _reports: Dict[str, Dict[str, PerformanceReport]] = field(default_factory=dict, repr=False)
 
@@ -163,19 +161,6 @@ class ExperimentContext:
     # Cached accessors
     # ------------------------------------------------------------------ #
     @property
-    def model(self) -> ExTensorModel:
-        """The accelerator model with the standard N / P / OB variants."""
-        if self._model is None:
-            variants = [
-                AcceleratorVariant.naive(),
-                AcceleratorVariant.prescient(),
-                AcceleratorVariant.overbooking(
-                    overbooking_target=self.overbooking_target),
-            ]
-            self._model = ExTensorModel(self.architecture, variants)
-        return self._model
-
-    @property
     def workload_names(self) -> List[str]:
         return self.suite.names
 
@@ -217,9 +202,6 @@ class ExperimentContext:
         return (suite_token, self.architecture, self.overbooking_target,
                 self.kernel, name)
 
-    # Backwards-compatible alias (pre-scheduler internal name).
-    _memo_key = memo_key
-
     def reports(self, name: str) -> Dict[str, PerformanceReport]:
         """Per-variant performance reports for workload ``name`` (cached).
 
@@ -228,14 +210,16 @@ class ExperimentContext:
         own) evaluate each (workload, variant) pair once per process.
         """
         if name not in self._reports:
-            memo_key = self._memo_key(name)
+            memo_key = self.memo_key(name)
             memoized = _REPORT_MEMO.get(memo_key) if memo_key is not None else None
             if memoized is not None:
                 # Copy at the memo boundary: callers may mutate the returned
                 # dict without polluting other contexts.
                 self._reports[name] = dict(memoized)
             else:
-                self._reports[name] = self.model.evaluate_workload(self.workload(name))
+                self._reports[name] = BatchWorkloadEvaluator(
+                    self.workload(name)).reports(self.architecture,
+                                                 self.overbooking_target)
                 if memo_key is not None:
                     _REPORT_MEMO[memo_key] = dict(self._reports[name])
         return self._reports[name]
@@ -256,9 +240,7 @@ class ExperimentContext:
     @property
     def overbooking_name(self) -> str:
         # The OB variant's report name varies with the overbooking target
-        # (e.g. "ExTensor-OB(y=22%)"), so resolve it from the model instead
+        # (e.g. "ExTensor-OB(y=22%)"), so resolve it from the variant instead
         # of returning the y=10% constant.
-        for variant in self.model.variants:
-            if variant.name.startswith(VARIANT_OVERBOOKING):
-                return variant.name
-        return VARIANT_OVERBOOKING
+        return AcceleratorVariant.overbooking(
+            overbooking_target=self.overbooking_target).name

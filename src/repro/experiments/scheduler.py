@@ -29,7 +29,7 @@ leaves everything it finished on disk for the next run to resume from.
 Evaluation is a deterministic function of the request (seeded generators end
 to end), so the merged reports are identical to what serial execution would
 have produced — ``tests/experiments/test_scheduler.py`` pins that down to
-1e-9 against the single-process golden path.
+1e-9 against the per-point :class:`~repro.model.engine.AnalyticalEngine`.
 """
 
 from __future__ import annotations
@@ -89,9 +89,10 @@ class ScheduleStats:
     are always **per-cell** counts: the batched evaluator returns one result
     per request of a group, and each is merged (and persisted) individually,
     so a 100-cell batch records 100 writes, never 1.
-    ``batched`` / ``batch_groups`` record whether the cold requests went
-    through the vectorized :mod:`repro.model.batch` evaluator and how many
-    ``(suite, kernel, workload)`` groups they collapsed into;
+    ``batch_groups`` counts the ``(suite, kernel, workload)`` groups the
+    cold requests collapsed into, one :mod:`repro.model.batch` evaluation
+    each; ``batched`` is always ``True`` (every cold request takes that
+    path) and stays in the record for its existing readers;
     ``shm_segments`` counts suites shipped to workers via shared memory
     (:mod:`repro.tensor.shm`) instead of per-worker rebuilds.
     ``pool_restarts`` / ``degraded_serial`` record worker-pool crash
@@ -109,7 +110,7 @@ class ScheduleStats:
     store_writes: int = 0
     pool_restarts: int = 0
     degraded_serial: bool = False
-    batched: bool = False
+    batched: bool = True
     batch_groups: int = 0
     shm_segments: int = 0
 
@@ -191,19 +192,6 @@ def _worker_context(request: EvaluationRequest) -> ExperimentContext:
     return context
 
 
-def _evaluate_request(
-        request: EvaluationRequest,
-) -> Tuple[EvaluationRequest, Dict[str, PerformanceReport]]:
-    """Worker entry point: rebuild state from the request and evaluate.
-
-    Runs the exact serial code path (``ExperimentContext.reports``) on
-    reconstructed-but-bit-identical inputs, so the returned reports match
-    serial execution exactly.
-    """
-    context = _worker_context(request)
-    return request, context.reports(request.workload)
-
-
 def _group_key(request: EvaluationRequest) -> tuple:
     """The batching axis: requests differing only in architecture / ``y``
     share one workload (operands, tilings, occupancy reductions)."""
@@ -213,9 +201,9 @@ def _group_key(request: EvaluationRequest) -> tuple:
 def workload_evaluator(request: EvaluationRequest):
     """The (cached) batched evaluator for a request's ``(kernel, workload)``.
 
-    Builds the workload through the same suite/context caches the per-point
-    path uses, so operands — and every tiling memoized on them — are shared
-    between the two paths bit-for-bit.
+    Builds the workload through the worker's suite/context caches, so
+    operands — and every tiling memoized on them — are shared by every
+    evaluator over the same suite.
     """
     from repro.model.batch import BatchWorkloadEvaluator
 
@@ -237,19 +225,10 @@ def _evaluate_request_group(
     Returns one ``(request, reports)`` pair *per cell* — the parent merges
     (and persists) each individually, so store accounting stays per-cell.
     """
-    evaluator = workload_evaluator(unit[0])
-    evaluator.prime([(request.architecture, request.overbooking_target)
-                     for request in unit])
-    return [(request, evaluator.reports(request.architecture,
-                                        request.overbooking_target))
-            for request in unit]
-
-
-def _evaluate_request_loop(
-        unit: Tuple[EvaluationRequest, ...],
-) -> List[Tuple[EvaluationRequest, Dict[str, PerformanceReport]]]:
-    """Worker entry point for one unit on the golden per-point path."""
-    return [_evaluate_request(request) for request in unit]
+    reports = workload_evaluator(unit[0]).prime(
+        [(request.architecture, request.overbooking_target)
+         for request in unit])
+    return list(zip(unit, reports))
 
 
 def _attach_worker_suites(manifests) -> None:
@@ -279,28 +258,22 @@ class EvaluationScheduler:
         requests are looked up in it before any evaluation happens, and
         computed reports are persisted to it as they complete (making the
         batch resumable after a crash).
-    use_batch:
-        Evaluate cold requests through the vectorized grid evaluator
-        (:mod:`repro.model.batch`), grouping cells by ``(suite, kernel,
-        workload)`` so shared tilings and scaffolding are computed once per
-        group.  Bit-identical to the per-point path; ``False`` (CLI:
-        ``--no-batch``) forces the golden per-point loop.
-    use_shared_memory:
-        Ship suites to pool workers through one shared-memory segment
-        (:mod:`repro.tensor.shm`) instead of letting every worker rebuild
-        them from seeds.  Falls back transparently when unavailable.
+
+    Cold requests are grouped by ``(suite, kernel, workload)`` and each
+    group is evaluated by one vectorized grid evaluator
+    (:mod:`repro.model.batch`), so shared tilings and scaffolding are
+    computed once per group.  Pool workers receive their suites through one
+    shared-memory segment (:mod:`repro.tensor.shm`) instead of rebuilding
+    them from seeds, falling back transparently when that is unavailable.
     """
 
     def __init__(self, max_workers: Optional[int] = None, *,
-                 min_parallel_requests: int = 4, store=None,
-                 use_batch: bool = True, use_shared_memory: bool = True):
+                 min_parallel_requests: int = 4, store=None):
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         self.max_workers = max(1, int(max_workers))
         self.min_parallel_requests = max(1, int(min_parallel_requests))
         self.store = store
-        self.use_batch = bool(use_batch)
-        self.use_shared_memory = bool(use_shared_memory)
 
     # ------------------------------------------------------------------ #
     def prefetch(self, requests: Sequence[EvaluationRequest], *,
@@ -378,19 +351,13 @@ class EvaluationScheduler:
                 self.store.store(request.memo_key, reports)
             notify(request, reports, "computed")
 
-        # The unit of fan-out: with batching, one unit is every cold cell of
-        # a (suite, kernel, workload) group — the vectorized evaluator
-        # computes the group's shared tilings/reductions once and emits one
-        # report set per cell; without, each unit is a single request.
-        if self.use_batch:
-            groups: Dict[tuple, List[EvaluationRequest]] = {}
-            for request in cold:
-                groups.setdefault(_group_key(request), []).append(request)
-            units = [tuple(group) for group in groups.values()]
-            evaluate_unit = _evaluate_request_group
-        else:
-            units = [(request,) for request in cold]
-            evaluate_unit = _evaluate_request_loop
+        # The unit of fan-out: every cold cell of a (suite, kernel, workload)
+        # group — the vectorized evaluator computes the group's shared
+        # tilings/reductions once and emits one report set per cell.
+        groups: Dict[tuple, List[EvaluationRequest]] = {}
+        for request in cold:
+            groups.setdefault(_group_key(request), []).append(request)
+        units = [tuple(group) for group in groups.values()]
 
         pool_restarts = 0
         degraded_serial = False
@@ -398,33 +365,32 @@ class EvaluationScheduler:
         workers = min(self.max_workers, len(units))
         if workers <= 1 or len(cold) < self.min_parallel_requests:
             for unit in units:
-                for request, reports in evaluate_unit(unit):
+                for request, reports in _evaluate_request_group(unit):
                     merge(request, reports)
             workers = min(workers, 1)
         else:
             # Ship each suite to the workers once, through shared memory —
             # O(1) in suite bytes instead of one rebuild per worker.  Pairs
             # are exported only when some cold kernel streams them.
+            from repro.tensor import shm
+            from repro.tensor.kernels import kernel_spec
+
             manifests = []
             exported_tokens = []
-            if self.use_shared_memory:
-                from repro.tensor import shm
-                from repro.tensor.kernels import kernel_spec
-
-                needs_pair: Dict[tuple, bool] = {}
-                names_by_token: Dict[tuple, Dict[str, None]] = {}
-                for request in cold:
-                    token = request.suite_token
-                    names_by_token.setdefault(token, {})[request.workload] = None
-                    needs_pair[token] = (
-                        needs_pair.get(token, False)
-                        or kernel_spec(request.kernel).needs_paired_operand)
-                for token, names in names_by_token.items():
-                    manifest = shm.export_suite(
-                        token, list(names), include_pairs=needs_pair[token])
-                    if manifest is not None:
-                        manifests.append(manifest)
-                        exported_tokens.append(token)
+            needs_pair: Dict[tuple, bool] = {}
+            names_by_token: Dict[tuple, Dict[str, None]] = {}
+            for request in cold:
+                token = request.suite_token
+                names_by_token.setdefault(token, {})[request.workload] = None
+                needs_pair[token] = (
+                    needs_pair.get(token, False)
+                    or kernel_spec(request.kernel).needs_paired_operand)
+            for token, names in names_by_token.items():
+                manifest = shm.export_suite(
+                    token, list(names), include_pairs=needs_pair[token])
+                if manifest is not None:
+                    manifests.append(manifest)
+                    exported_tokens.append(token)
             shm_segments = len(manifests)
             initializer = _attach_worker_suites if manifests else None
             initargs = (tuple(manifests),) if manifests else ()
@@ -445,7 +411,7 @@ class EvaluationScheduler:
                                 initializer=initializer,
                                 initargs=initargs) as executor:
                             for results in executor.map(
-                                    evaluate_unit, pending,
+                                    _evaluate_request_group, pending,
                                     chunksize=chunksize):
                                 for request, reports in results:
                                     merge(request, reports)
@@ -465,7 +431,8 @@ class EvaluationScheduler:
                                   f"of the remaining {remaining} request(s)",
                                   file=sys.stderr)
                             for unit in pending:
-                                for request, reports in evaluate_unit(unit):
+                                results = _evaluate_request_group(unit)
+                                for request, reports in results:
                                     merge(request, reports)
                             pending = []
                             degraded_serial = True
@@ -475,11 +442,8 @@ class EvaluationScheduler:
                                   f"pool to retry the remaining {remaining} "
                                   f"request(s)", file=sys.stderr)
             finally:
-                if self.use_shared_memory and exported_tokens:
-                    from repro.tensor import shm
-
-                    for token in exported_tokens:
-                        shm.release_suite(token)
+                for token in exported_tokens:
+                    shm.release_suite(token)
 
         return ScheduleStats(
             requested=len(requests),
@@ -491,8 +455,7 @@ class EvaluationScheduler:
             store_writes=len(cold) if self.store is not None else 0,
             pool_restarts=pool_restarts,
             degraded_serial=degraded_serial,
-            batched=self.use_batch,
-            batch_groups=len(units) if self.use_batch else 0,
+            batch_groups=len(units),
             shm_segments=shm_segments,
         )
 

@@ -302,7 +302,6 @@ def _merged_schedule(batches: Sequence[ScheduleStats]) -> ScheduleStats:
         store_writes=sum(stats.store_writes for stats in batches),
         pool_restarts=sum(stats.pool_restarts for stats in batches),
         degraded_serial=any(stats.degraded_serial for stats in batches),
-        batched=any(stats.batched for stats in batches),
         batch_groups=sum(stats.batch_groups for stats in batches),
         shm_segments=sum(stats.shm_segments for stats in batches),
     )
@@ -320,15 +319,14 @@ def search_frontier(suite: Optional[WorkloadSuite] = None, *,
                     workloads: Optional[Sequence[str]] = None,
                     scheduler: Optional[EvaluationScheduler] = None,
                     max_workers: Optional[int] = None,
-                    store=None, use_batch: bool = True,
+                    store=None,
                     use_surrogate: bool = True,
                     surrogate_budget: float = DEFAULT_SURROGATE_BUDGET,
                     constraints: Optional[Sequence] = None) -> FrontierResult:
     """Generationally explore the ``(y, GLB, PE)`` space, keep the frontier.
 
     Parameters mirror :func:`~repro.experiments.sweep.sweep_grid` where they
-    overlap (``suite``/``synth``/``kernels``/``workloads``/``store``/
-    ``use_batch``); the
+    overlap (``suite``/``synth``/``kernels``/``workloads``/``store``); the
     search-specific knobs are the seed axes (``y_values``, ``glb_scales``,
     ``pe_scales``), ``max_generations`` (generation 0 is the seed grid; each
     further generation refines the axes around the current frontier and
@@ -384,8 +382,7 @@ def search_frontier(suite: Optional[WorkloadSuite] = None, *,
                                          for item in (constraints or ())]
     synth_specs = specs_by_workload_name(suite)
     base = base_architecture or scaled_default_config()
-    scheduler = _store_aware_scheduler(scheduler, store, max_workers,
-                                       use_batch=use_batch)
+    scheduler = _store_aware_scheduler(scheduler, store, max_workers)
 
     axes = {
         "y": sorted(_round(y) for y in y_values),

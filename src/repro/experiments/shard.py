@@ -56,11 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.scheduler import (
-    EvaluationScheduler,
-    _evaluate_request,
-    workload_evaluator,
-)
+from repro.experiments.scheduler import EvaluationScheduler, workload_evaluator
 from repro.experiments.runner import store_memoized_reports
 from repro.experiments.store import (
     LEASES_DIR,
@@ -350,7 +346,6 @@ def run_shard(suite=None, *, shard, store: ReportStore,
               poll_interval: Optional[float] = None,
               steal: bool = True,
               owner: Optional[str] = None,
-              use_batch: bool = True,
               clock: Callable[[], float] = time.monotonic,
               sleep: Callable[[float], None] = time.sleep) -> ShardRunStats:
     """Run one worker of a cooperative sharded sweep.
@@ -366,12 +361,11 @@ def run_shard(suite=None, *, shard, store: ReportStore,
     visibly owned by a live peer.  Results are persisted per cell, so a
     worker dying at any instant loses at most the cell it was computing.
 
-    ``use_batch`` evaluates cells through the per-``(kernel, workload)``
-    vectorized evaluator (:mod:`repro.model.batch`) — bit-identical reports,
-    shared tiling/scaffolding work across a workload's cells — while the
-    claim → heartbeat → evaluate → store → release protocol stays strictly
-    per cell, so lease semantics (and the fault drills that pin them down)
-    are unchanged.  ``False`` forces the golden per-point path.
+    Cells are evaluated through the per-``(kernel, workload)`` vectorized
+    evaluator (:mod:`repro.model.batch`), sharing tiling work across a
+    workload's cells, while the claim → heartbeat → evaluate → store →
+    release protocol stays strictly per cell, so lease semantics (and the
+    fault drills that pin them down) are unchanged.
 
     ``clock``/``sleep``/``poll_interval``/``owner`` are injection points for
     deterministic tests; real deployments leave them defaulted.
@@ -399,12 +393,6 @@ def run_shard(suite=None, *, shard, store: ReportStore,
     injector = faults.active()
     counters = {"evaluated": 0, "stolen": 0}
 
-    def evaluate(request):
-        if not use_batch:
-            return _evaluate_request(request)[1]
-        return workload_evaluator(request).reports(
-            request.architecture, request.overbooking_target)
-
     def process(requests: List) -> List:
         """Claim-and-evaluate each request; return the unclaimable ones."""
         pending = []
@@ -420,7 +408,8 @@ def run_shard(suite=None, *, shard, store: ReportStore,
             injector.count_claimed_cell()
             try:
                 with lease.keepalive():
-                    reports = evaluate(request)
+                    reports = workload_evaluator(request).reports(
+                        request.architecture, request.overbooking_target)
                     store_memoized_reports(request.memo_key, reports)
                     store.store(request.memo_key, reports)
             finally:

@@ -221,26 +221,21 @@ def sweep_signature(suite: WorkloadSuite, *, y_values, glb_scales, pe_scales,
 
 
 def _store_aware_scheduler(scheduler: Optional[EvaluationScheduler], store,
-                           max_workers: Optional[int],
-                           use_batch: bool = True) -> EvaluationScheduler:
+                           max_workers: Optional[int]) -> EvaluationScheduler:
     """The scheduler a store-aware driver should use.
 
     Never mutates a caller-supplied scheduler: when one is given without a
     store attached, an equivalently-configured scheduler carrying ``store``
     is built for this call only (the scheduler holds configuration, not
-    state, so this loses nothing).  A caller-supplied scheduler's own
-    ``use_batch`` always wins over the driver default.
+    state, so this loses nothing).
     """
     if scheduler is None:
-        return EvaluationScheduler(max_workers=max_workers, store=store,
-                                   use_batch=use_batch)
+        return EvaluationScheduler(max_workers=max_workers, store=store)
     if store is not None and scheduler.store is None:
         return EvaluationScheduler(
             max_workers=scheduler.max_workers,
             min_parallel_requests=scheduler.min_parallel_requests,
-            store=store,
-            use_batch=scheduler.use_batch,
-            use_shared_memory=scheduler.use_shared_memory)
+            store=store)
     return scheduler
 
 
@@ -458,8 +453,7 @@ def sweep_grid(suite: Optional[WorkloadSuite] = None, *,
                workloads: Optional[Sequence[str]] = None,
                scheduler: Optional[EvaluationScheduler] = None,
                max_workers: Optional[int] = None,
-               store=None, resume: bool = False,
-               use_batch: bool = True) -> SweepResult:
+               store=None, resume: bool = False) -> SweepResult:
     """Evaluate the full ``kernel × glb × pe × y`` grid over ``suite``.
 
     ``workloads`` restricts the sweep to a subset of the suite; ``kernels``
@@ -484,11 +478,9 @@ def sweep_grid(suite: Optional[WorkloadSuite] = None, *,
     are not re-evaluated, and the resulting artifacts are byte-identical to
     an uninterrupted run's.
 
-    ``use_batch`` (default ``True``) evaluates the grid through the
-    vectorized batch engine (:mod:`repro.model.batch`), one batched
-    evaluation per ``(kernel, workload)`` instead of one per cell —
-    bit-identical artifacts, an order of magnitude faster on cold grids;
-    ``False`` (CLI: ``--no-batch``) forces the golden per-point loop.
+    Cold cells are evaluated through the vectorized batch engine
+    (:mod:`repro.model.batch`), one batched evaluation per ``(kernel,
+    workload)`` instead of one per cell.
     """
     if resume and store is None:
         raise ValueError("resume=True needs a store to resume from "
@@ -497,8 +489,7 @@ def sweep_grid(suite: Optional[WorkloadSuite] = None, *,
                      pe_scales=pe_scales, kernels=kernels, synth=synth,
                      corpus=corpus, corpus_manifest=corpus_manifest,
                      base_architecture=base_architecture, workloads=workloads)
-    scheduler = _store_aware_scheduler(scheduler, store, max_workers,
-                                       use_batch=use_batch)
+    scheduler = _store_aware_scheduler(scheduler, store, max_workers)
 
     if store is not None:
         # Publish (atomically) what this sweep is about to do *before* doing

@@ -14,16 +14,14 @@ through ``matrix.memo``) as an array program over the *config axis*:
 
 * **Effective-config dedup.**  Naive and prescient tilings — and therefore
   their whole reports — do not depend on ``y``; one evaluation is shared
-  across the entire ``y`` axis of a grid.  ExTensor-OB cells dedup on
-  ``(architecture, y)``.
+  across the entire ``y`` axis of one :meth:`~BatchWorkloadEvaluator.prime`
+  call.  ExTensor-OB cells dedup on ``(architecture, y)``.
 * **Cached occupancy reductions.**  All engine scalars derived from an
   occupancy array are affine in a handful of exact integer sums
   (:class:`~repro.tiling.base.OccupancyReductions`); the O(num_tiles) array
   passes run once per ``(tiling, capacity)`` and are shared across every grid
   cell that reuses the tiling — e.g. the PE-level reductions across the whole
-  GLB-scale axis, and vice versa (the broadcast form of the same math lives
-  in :func:`repro.model.traffic.operand_fetches` via its trailing config
-  axis).
+  GLB-scale axis, and vice versa.
 * **Columnar evaluation.**  :meth:`BatchWorkloadEvaluator.prime` gathers the
   reduction scalars of every pending config into ``int64`` columns and runs
   the engine's whole scaffolding — tile counts, pass counts, fetch totals,
@@ -32,10 +30,11 @@ through ``matrix.memo``) as an array program over the *config axis*:
   :class:`~repro.model.traffic.LevelTraffic` rows, the energy report, the
   stats dataclass), which the sweep needs per cell anyway.
 
-The per-point engine is kept untouched as the golden reference: every value
-produced here is **bit-identical** to ``AnalyticalEngine.evaluate`` (not just
-within 1e-9) because all occupancy sums are exact integers below 2**53 —
-float64 sums over them are exact regardless of summation order, the int64
+This is the only evaluator production code calls.  The per-point engine is
+kept as the independent test oracle: every value produced here is
+**bit-identical** to ``AnalyticalEngine.evaluate`` (not just within 1e-9)
+because all occupancy sums are exact integers below 2**53 — float64 sums
+over them are exact regardless of summation order, the int64
 column arithmetic equals the engine's Python-int arithmetic, and every
 remaining float operation replicates the engine's expression order verbatim.
 ``tests/model/test_batch.py`` pins this differentially across kernels,
@@ -150,15 +149,14 @@ def _fetch_totals(fit_sum: np.ndarray, over_sum: np.ndarray,
 class BatchWorkloadEvaluator:
     """Evaluate one workload across a grid of ``(architecture, y)`` configs.
 
-    Instances accumulate caches (tilings via ``matrix.memo``, occupancy
-    reductions on the tilings, per-effective-config reports), so evaluating a
-    ``y × GLB × PE`` grid costs the per-point engine's array work only once
-    per *distinct tiling*, plus one broadcast pass over the config axis.
+    Instances accumulate tiling caches (tilings via ``matrix.memo``,
+    occupancy reductions on the tilings), so evaluating a ``y × GLB × PE``
+    grid costs the per-point engine's array work only once per *distinct
+    tiling*, plus one broadcast pass over the config axis.
 
-    Hand the whole grid to :meth:`prime` (or :meth:`evaluate_grid`) first —
-    per-cell :meth:`reports` calls then only assemble cached reports.  A
-    :meth:`reports` call for an unprimed cell still works (it primes a
-    single-config batch), just without the cross-config amortization.
+    Hand the whole grid to :meth:`prime`, which returns one report set per
+    cell; :meth:`reports` is the single-cell form, without the cross-config
+    amortization.
     """
 
     def __init__(self, workload: WorkloadDescriptor):
@@ -169,7 +167,6 @@ class BatchWorkloadEvaluator:
         self._naive = AcceleratorVariant.naive()
         self._prescient = AcceleratorVariant.prescient()
         self._ob_variants: Dict[float, AcceleratorVariant] = {}
-        self._reports: Dict[tuple, PerformanceReport] = {}
         #: (variant key, operand, capacity, fifo) -> (TilerResult, reductions).
         self._levels: Dict[tuple, tuple] = {}
         #: (variant key, glb cap, pe cap, fifo fractions) -> everything about a
@@ -204,55 +201,44 @@ class BatchWorkloadEvaluator:
         prescient, overbooking — the overbooking key carries the ``y`` suffix
         for non-default targets) and value-for-value bitwise.
         """
-        ob = self._ob_variant(overbooking_target)
-        reports = self._reports
-        naive = reports.get(("N", architecture))
-        prescient = reports.get(("P", architecture))
-        ob_report = reports.get(("OB", architecture, overbooking_target))
-        if naive is None or prescient is None or ob_report is None:
-            self.prime(((architecture, overbooking_target),))
-            naive = reports[("N", architecture)]
-            prescient = reports[("P", architecture)]
-            ob_report = reports[("OB", architecture, overbooking_target)]
-        return {
-            self._naive.name: naive,
-            self._prescient.name: prescient,
-            ob.name: ob_report,
-        }
+        return self.prime(((architecture, overbooking_target),))[0]
 
-    def prime(self, configs: Sequence[GridConfig]) -> None:
-        """Evaluate every not-yet-cached effective config of ``configs``.
+    def prime(self, configs: Sequence[GridConfig]
+              ) -> List[Dict[str, PerformanceReport]]:
+        """Evaluate every ``(architecture, y)`` cell, aligned with ``configs``.
 
-        This is the batched entry point: all pending configs are evaluated
-        columnarly in one broadcast pass per fetch policy, after which
-        :meth:`reports` is a cache lookup for every cell in ``configs``.
+        This is the batched entry point: the distinct effective configs of
+        ``configs`` are evaluated columnarly in one broadcast pass per fetch
+        policy.  Reports are not cached across calls (the caller's report
+        memo is the cache); within one call, cells sharing an effective
+        config share the report object.
         """
         pending: Dict[tuple, tuple] = {}
-        reports = self._reports
+        cells = []
         for architecture, overbooking_target in configs:
             ob = self._ob_variant(overbooking_target)
+            keys = []
             for key, spec, variant_key in (
                     (("N", architecture), self._naive.spec, "N"),
                     (("P", architecture), self._prescient.spec, "P"),
                     (("OB", architecture, overbooking_target), ob.spec,
                      ("OB", overbooking_target))):
-                if key not in reports and key not in pending:
+                keys.append(key)
+                if key not in pending:
                     pending[key] = (architecture, spec, variant_key)
-        if not pending:
-            return
+            cells.append((ob.name, keys))
         by_policy: Dict[FetchPolicy, list] = {}
         for key, (architecture, spec, variant_key) in pending.items():
             by_policy.setdefault(spec.policy, []).append(
                 (key, architecture, spec, variant_key))
+        reports: Dict[tuple, PerformanceReport] = {}
         for policy, rows in by_policy.items():
-            self._evaluate_rows(policy, rows)
-
-    def evaluate_grid(self, configs: Sequence[GridConfig]
-                      ) -> List[Dict[str, PerformanceReport]]:
-        """Evaluate every ``(architecture, y)`` cell, aligned with ``configs``."""
-        self.prime(configs)
-        return [self.reports(architecture, target)
-                for architecture, target in configs]
+            self._evaluate_rows(policy, rows, reports)
+        naive_name, prescient_name = self._naive.name, self._prescient.name
+        return [{naive_name: reports[naive_key],
+                 prescient_name: reports[prescient_key],
+                 ob_name: reports[ob_key]}
+                for ob_name, (naive_key, prescient_key, ob_key) in cells]
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -331,8 +317,9 @@ class BatchWorkloadEvaluator:
             self._compute_cycles[num_pes] = cycles
         return cycles
 
-    def _evaluate_rows(self, policy: FetchPolicy, rows: Sequence[tuple]) -> None:
-        """Evaluate one fetch policy's pending configs as an array program.
+    def _evaluate_rows(self, policy: FetchPolicy, rows: Sequence[tuple],
+                       reports: Dict[tuple, PerformanceReport]) -> None:
+        """Evaluate one fetch policy's pending configs into ``reports``.
 
         ``AnalyticalEngine.evaluate`` replicated over the config axis: the
         integer scaffolding (tile counts, pass counts, affine fetch totals)
@@ -476,7 +463,6 @@ class BatchWorkloadEvaluator:
         output_nonzeros = workload.output_nonzeros
         kernel = workload.kernel
         effectual = self._effectual
-        reports = self._reports
         for i, (key, arch, spec, variant_key) in enumerate(rows):
             (_, block_rows, tax, glb_rate, glb_util, bumped,
              pe_rate, pe_util) = quads[i]
@@ -566,14 +552,3 @@ def config_grid(base: ArchitectureConfig, *, y_values: Iterable[float],
                     configs.append((arch, float(y)))
     return configs
 
-
-def evaluate_workload_grid(workload: WorkloadDescriptor,
-                           configs: Sequence[GridConfig]
-                           ) -> List[Dict[str, PerformanceReport]]:
-    """Batched grid evaluation of one workload (see the module docstring).
-
-    Returns one ``{variant name: PerformanceReport}`` dict per config, in
-    config order — bit-identical to calling the per-point engine through
-    ``ExTensorModel.evaluate_workload`` at each cell.
-    """
-    return BatchWorkloadEvaluator(workload).evaluate_grid(configs)

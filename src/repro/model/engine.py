@@ -21,6 +21,11 @@ Model structure (see DESIGN.md §5 for the derivation):
 * **Cycles.**  ``max(DRAM words / DRAM bandwidth, GLB words / GLB bandwidth,
   effectual multiplies / PE array throughput)``.
 * **Energy.**  Per-action energies applied to the per-component action counts.
+
+Production code evaluates through the vectorized
+:class:`~repro.model.batch.BatchWorkloadEvaluator`, which replicates this
+engine bit for bit over whole grids; the engine is kept as the readable,
+independent oracle the tests compare it against.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 import numpy as np
 
 from repro.accelerator.config import ArchitectureConfig
-from repro.accelerator.dataflow import DataflowSpec, extensor_dataflow
 from repro.accelerator.pe import PEArray
 from repro.energy.accelergy import EnergyModel
 from repro.model.sparsity import TileOccupancyModel
@@ -102,10 +106,8 @@ class AnalyticalEngine:
     """Evaluate workloads on an architecture under different variants."""
 
     def __init__(self, architecture: ArchitectureConfig, *,
-                 dataflow: Optional[DataflowSpec] = None,
                  energy_model: Optional[EnergyModel] = None):
         self.architecture = architecture
-        self.dataflow = dataflow or extensor_dataflow()
         self.energy_model = energy_model or EnergyModel.for_architecture(
             glb_capacity_words=architecture.glb_capacity_words,
             pe_buffer_capacity_words=architecture.pe_buffer_capacity_words,

@@ -16,39 +16,16 @@ moved between memory levels:
 :func:`operand_fetches` implements the per-tile fetch counts for the three
 policies (never-overbooked, buffet, Tailors); :class:`LevelTraffic` assembles
 them into the traffic of one memory level.
-
-Both helpers accept an optional trailing *config axis*: passing ``capacity``
-/ ``fifo_words`` / ``passes`` as 1-D vectors of length ``C`` (instead of
-scalars) evaluates all ``C`` configurations against the same occupancy array
-in one broadcast call — the primitive the batched grid evaluator
-(:mod:`repro.model.batch`) is built on.  The scalar path is unchanged, so
-per-point callers see the exact same arithmetic as before.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from repro.utils.validation import check_positive, check_positive_int
-
-
-def _config_axis(value, name: str) -> np.ndarray:
-    """Validate a per-config parameter vector (1-D positive integers)."""
-    array = np.asarray(value)
-    if array.ndim != 1:
-        raise ValueError(f"{name} must be a scalar or a 1-D config vector, "
-                         f"got shape {array.shape}")
-    if array.size == 0:
-        raise ValueError(f"{name} config vector must not be empty")
-    if not np.issubdtype(array.dtype, np.integer):
-        raise ValueError(f"{name} config vector must be integer, got {array.dtype}")
-    if (array <= 0).any():
-        raise ValueError(f"{name} entries must be positive, got {array.min()}")
-    return array.astype(np.int64, copy=False)
+from repro.utils.validation import check_positive_int
 
 
 class FetchPolicy(enum.Enum):
@@ -82,24 +59,11 @@ def operand_fetches(occupancies: np.ndarray, capacity: int, *, fifo_words: int,
     policy:
         Overflow-handling policy.
 
-    Any of ``capacity`` / ``fifo_words`` / ``passes`` may instead be a 1-D
-    vector of length ``C`` (a *config axis*): the occupancies are then lifted
-    to shape ``(T, 1)`` and the result has shape ``(T, C)``, column ``j``
-    holding the per-tile fetches under configuration ``j``.  Scalars broadcast
-    across the config axis.
-
     Returns
     -------
     numpy.ndarray
-        Fetches per tile: shape ``(T,)`` for all-scalar parameters, shape
-        ``(T, C)`` when a config axis is present.
+        Fetches per tile.
     """
-    batched = any(np.ndim(value) > 0 for value in (capacity, fifo_words, passes))
-    if batched:
-        return _batched_operand_fetches(occupancies, capacity,
-                                        fifo_words=fifo_words, passes=passes,
-                                        policy=policy)
-
     check_positive_int(capacity, "capacity")
     check_positive_int(fifo_words, "fifo_words")
     check_positive_int(passes, "passes")
@@ -114,48 +78,6 @@ def operand_fetches(occupancies: np.ndarray, capacity: int, *, fifo_words: int,
         resident = max(1, capacity - fifo_words)
         bumped = np.maximum(occ - resident, 0.0)
         return np.where(fits, occ, resident + bumped * passes)
-
-    raise ValueError(f"unknown policy {policy!r}")
-
-
-def _batched_operand_fetches(occupancies, capacity, *, fifo_words, passes,
-                             policy: FetchPolicy) -> np.ndarray:
-    """The config-axis form of :func:`operand_fetches` (shape ``(T, C)``).
-
-    All per-tile/per-config values are exact integers far below 2**53, so the
-    broadcast arithmetic here is *bit-identical* per column to the scalar path
-    evaluated one config at a time.
-    """
-    params = {"capacity": capacity, "fifo_words": fifo_words, "passes": passes}
-    length = None
-    for name, value in params.items():
-        if np.ndim(value) > 0:
-            params[name] = _config_axis(value, name)
-            if length is not None and params[name].size != length:
-                raise ValueError(
-                    f"config vectors must align: {name} has {params[name].size} "
-                    f"entries, expected {length}")
-            length = params[name].size
-        else:
-            check_positive_int(value, name)
-    cap = np.broadcast_to(np.asarray(params["capacity"], dtype=np.int64), (length,))
-    fifo = np.broadcast_to(np.asarray(params["fifo_words"], dtype=np.int64), (length,))
-    scans = np.broadcast_to(np.asarray(params["passes"], dtype=np.int64), (length,))
-
-    occ = np.asarray(occupancies, dtype=np.float64)
-    if occ.ndim != 1:
-        raise ValueError(f"occupancies must be 1-D with a config axis, "
-                         f"got shape {occ.shape}")
-    occ = occ[:, None]
-    fits = occ <= cap
-
-    if policy in (FetchPolicy.FIT, FetchPolicy.BUFFET):
-        return np.where(fits, occ, occ * scans)
-
-    if policy is FetchPolicy.TAILORS:
-        resident = np.maximum(1, cap - fifo)
-        bumped = np.maximum(occ - resident, 0.0)
-        return np.where(fits, occ, resident + bumped * scans)
 
     raise ValueError(f"unknown policy {policy!r}")
 
@@ -215,81 +137,3 @@ class LevelTraffic:
             return 0.0
         return self.streaming_overhead / baseline
 
-
-def stationary_level_traffic(*, level: str, occupancies: np.ndarray, capacity: int,
-                             fifo_words: int, streaming_tiles: int,
-                             streaming_nonzeros: int, output_nonzeros: float,
-                             words_per_nonzero: float, output_words_per_nonzero: float,
-                             policy: FetchPolicy) -> LevelTraffic:
-    """Assemble the traffic of one level of the stationary/streaming dataflow.
-
-    ``streaming_tiles`` is the number of streaming-operand tiles each
-    stationary tile is matched against (the number of scans); the streaming
-    operand itself is fetched once per stationary tile, i.e.
-    ``num_stationary_tiles × streaming_nonzeros`` words.
-
-    ``capacity`` / ``fifo_words`` / ``streaming_tiles`` may be 1-D config
-    vectors of length ``C`` (see :func:`operand_fetches`), in which case a
-    tuple of ``C`` :class:`LevelTraffic` objects is returned, one per
-    configuration — each bit-identical to the scalar call with that
-    configuration's parameters.
-    """
-    if any(np.ndim(value) > 0 for value in (capacity, fifo_words, streaming_tiles)):
-        return _batched_stationary_level_traffic(
-            level=level, occupancies=occupancies, capacity=capacity,
-            fifo_words=fifo_words, streaming_tiles=streaming_tiles,
-            streaming_nonzeros=streaming_nonzeros,
-            output_nonzeros=output_nonzeros,
-            words_per_nonzero=words_per_nonzero,
-            output_words_per_nonzero=output_words_per_nonzero, policy=policy)
-
-    check_positive(words_per_nonzero, "words_per_nonzero")
-    check_positive(output_words_per_nonzero, "output_words_per_nonzero")
-    occ = np.asarray(occupancies, dtype=np.float64)
-    num_stationary_tiles = max(1, int(occ.size))
-    passes = max(1, int(streaming_tiles))
-
-    fetches = operand_fetches(occ, capacity, fifo_words=fifo_words,
-                              passes=passes, policy=policy)
-    stationary_reads = float(fetches.sum()) * words_per_nonzero
-    stationary_baseline = float(occ.sum()) * words_per_nonzero
-    streaming_reads = float(num_stationary_tiles * streaming_nonzeros) * words_per_nonzero
-    output_writes = float(output_nonzeros) * output_words_per_nonzero
-    return LevelTraffic(
-        level=level,
-        stationary_reads=stationary_reads,
-        stationary_baseline=stationary_baseline,
-        streaming_reads=streaming_reads,
-        output_writes=output_writes,
-    )
-
-
-def _batched_stationary_level_traffic(*, level, occupancies, capacity, fifo_words,
-                                      streaming_tiles, streaming_nonzeros,
-                                      output_nonzeros, words_per_nonzero,
-                                      output_words_per_nonzero,
-                                      policy) -> Tuple[LevelTraffic, ...]:
-    """The config-axis form of :func:`stationary_level_traffic`."""
-    check_positive(words_per_nonzero, "words_per_nonzero")
-    check_positive(output_words_per_nonzero, "output_words_per_nonzero")
-    occ = np.asarray(occupancies, dtype=np.float64)
-    num_stationary_tiles = max(1, int(occ.size))
-    passes = np.maximum(1, np.asarray(streaming_tiles, dtype=np.int64)) \
-        if np.ndim(streaming_tiles) > 0 else max(1, int(streaming_tiles))
-
-    fetches = operand_fetches(occ, capacity, fifo_words=fifo_words,
-                              passes=passes, policy=policy)
-    per_config_fetches = fetches.sum(axis=0)
-    stationary_baseline = float(occ.sum()) * words_per_nonzero
-    streaming_reads = float(num_stationary_tiles * streaming_nonzeros) * words_per_nonzero
-    output_writes = float(output_nonzeros) * output_words_per_nonzero
-    return tuple(
-        LevelTraffic(
-            level=level,
-            stationary_reads=float(total) * words_per_nonzero,
-            stationary_baseline=stationary_baseline,
-            streaming_reads=streaming_reads,
-            output_writes=output_writes,
-        )
-        for total in per_config_fetches
-    )

@@ -329,7 +329,6 @@ class _Handler(BaseHTTPRequestHandler):
                 workloads=body.get("workloads"),
                 max_workers=self.service.scheduler.max_workers,
                 store=self.service.store,
-                use_batch=self.service.scheduler.use_batch,
                 use_surrogate=bool(body.get("surrogate", True)),
                 constraints=constraints,
             )
@@ -360,7 +359,7 @@ class ReproServer(ThreadingHTTPServer):
 
 
 def create_server(*, host: str = "127.0.0.1", port: int = 0, store=None,
-                  max_workers: Optional[int] = None, use_batch: bool = True,
+                  max_workers: Optional[int] = None,
                   batch_window: float = DEFAULT_BATCH_WINDOW,
                   verbose: bool = False) -> ReproServer:
     """Bind a :class:`ReproServer` (``port=0`` picks a free port).
@@ -370,7 +369,6 @@ def create_server(*, host: str = "127.0.0.1", port: int = 0, store=None,
     :func:`serve`, which does all three.
     """
     service = EvaluationService(store=store, max_workers=max_workers,
-                                use_batch=use_batch,
                                 batch_window=batch_window)
     return ReproServer((host, port), service, verbose=verbose)
 

@@ -172,7 +172,7 @@ class EvaluationService:
         Optional shared :class:`~repro.experiments.store.ReportStore`; when
         given, every pass consults it before evaluating and persists what it
         computes (the scheduler's usual durable tier, now fleet-shared).
-    max_workers / use_batch:
+    max_workers:
         Forwarded to the underlying scheduler.
     batch_window:
         Seconds the loop waits after the first ticket of a pass for more
@@ -184,12 +184,11 @@ class EvaluationService:
     """
 
     def __init__(self, *, store=None, max_workers: Optional[int] = None,
-                 use_batch: bool = True,
                  batch_window: float = DEFAULT_BATCH_WINDOW,
                  auto_start: bool = True):
         self.store = store
         self.scheduler = EvaluationScheduler(
-            max_workers=max_workers, store=store, use_batch=use_batch)
+            max_workers=max_workers, store=store)
         self.batch_window = max(0.0, float(batch_window))
         self.counters = ServiceCounters()
         self._queue: "queue.Queue" = queue.Queue()

@@ -6,8 +6,6 @@ about sparse tensors:
 * :mod:`repro.tensor.coords` — shapes, points, and range arithmetic.
 * :mod:`repro.tensor.sparse` — the :class:`SparseMatrix` workhorse (COO/CSR
   backed, with fast per-tile occupancy counting).
-* :mod:`repro.tensor.formats` — the Compressed Sparse Fiber (CSF) fiber-tree
-  representation traversed by the ExTensor address generators.
 * :mod:`repro.tensor.einsum` — Einsum workload descriptions and operation
   counting for SpMSpM.
 * :mod:`repro.tensor.kernels` — the pluggable kernel family (general SpMSpM,
@@ -27,7 +25,6 @@ about sparse tensors:
 
 from repro.tensor.coords import Shape, Point, Range
 from repro.tensor.sparse import SparseMatrix
-from repro.tensor.formats import CompressedSparseFiber, Fiber
 from repro.tensor.einsum import EinsumSpec, MatmulWorkload, count_spmspm_operations
 from repro.tensor.kernels import (
     KERNELS,
@@ -70,8 +67,6 @@ __all__ = [
     "Point",
     "Range",
     "SparseMatrix",
-    "CompressedSparseFiber",
-    "Fiber",
     "EinsumSpec",
     "MatmulWorkload",
     "count_spmspm_operations",

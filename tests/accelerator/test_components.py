@@ -1,14 +1,8 @@
-"""Tests for the accelerator building blocks: config, dataflow, AGEN, PEs."""
+"""Tests for the accelerator building blocks: config and PEs."""
 
 import pytest
 
-from repro.accelerator.agen import AddressGenerator
 from repro.accelerator.config import ArchitectureConfig, paper_extensor_config, scaled_default_config
-from repro.accelerator.dataflow import DataflowSpec, extensor_dataflow
-from repro.accelerator.intersection import (
-    estimate_workload_intersections,
-    exact_pair_intersections,
-)
 from repro.accelerator.pe import PEArray, ProcessingElement
 from repro.tensor.einsum import MatmulWorkload
 from repro.tensor.generators import uniform_random_matrix
@@ -48,69 +42,6 @@ class TestArchitectureConfig:
     def test_invalid_pe_count(self):
         with pytest.raises(ValueError):
             ArchitectureConfig(num_pes=0)
-
-
-class TestDataflow:
-    def test_default_is_a_stationary(self):
-        assert extensor_dataflow().stationary_operand == "A"
-
-    def test_pass_counts(self):
-        dataflow = extensor_dataflow()
-        assert dataflow.stationary_passes(7) == 7
-        assert dataflow.stationary_passes(0) == 1
-        assert dataflow.streaming_fetch_rounds(3) == 3
-
-    def test_invalid_operand(self):
-        with pytest.raises(ValueError):
-            DataflowSpec(name="bad", stationary_operand="C")
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            extensor_dataflow().stationary_passes(-1)
-
-
-class TestAddressGenerator:
-    def test_scan_counts(self, tiny_dense_matrix):
-        agen = AddressGenerator(tiny_dense_matrix)
-        counts = agen.scan_counts()
-        assert counts.value_words == tiny_dense_matrix.nnz
-        assert counts.metadata_words == agen.csf.metadata_words
-        assert counts.total_words == counts.value_words + counts.metadata_words
-
-    def test_scan_counts_scale_with_passes(self, tiny_dense_matrix):
-        agen = AddressGenerator(tiny_dense_matrix)
-        assert agen.scan_counts(3).value_words == 3 * tiny_dense_matrix.nnz
-
-    def test_scan_trace_order_and_length(self, tiny_dense_matrix):
-        trace = AddressGenerator(tiny_dense_matrix).scan_trace()
-        assert len(trace) == tiny_dense_matrix.nnz
-        rows = [r for r, _, _ in trace]
-        assert rows == sorted(rows)
-
-    def test_fill_requests_are_indexed(self, tiny_dense_matrix):
-        requests = list(AddressGenerator(tiny_dense_matrix).iter_fill_requests())
-        assert [i for i, _ in requests] == list(range(tiny_dense_matrix.nnz))
-
-
-class TestIntersection:
-    def test_exact_pairs_identity(self):
-        eye = uniform_random_matrix(6, 6, 6, rng=0)
-        workload = MatmulWorkload.gram(eye)
-        assert exact_pair_intersections(workload) > 0
-
-    def test_estimate_close_to_exact_on_small_workload(self):
-        matrix = uniform_random_matrix(40, 40, 300, rng=1)
-        workload = MatmulWorkload.gram(matrix)
-        exact = exact_pair_intersections(workload)
-        estimate = estimate_workload_intersections(workload, sample_rows=40, rng=0)
-        assert estimate == pytest.approx(exact, rel=0.01)
-
-    def test_estimate_scales_samples(self):
-        matrix = uniform_random_matrix(100, 100, 1500, rng=2)
-        workload = MatmulWorkload.gram(matrix)
-        estimate = estimate_workload_intersections(workload, sample_rows=20, rng=0)
-        exact = exact_pair_intersections(workload)
-        assert estimate == pytest.approx(exact, rel=0.4)
 
 
 class TestPEArray:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments import scheduler as scheduler_module
 from repro.experiments.runner import clear_process_caches, memoized_reports
-from repro.experiments.scheduler import EvaluationScheduler
+from repro.experiments.scheduler import EvaluationScheduler, workload_evaluator
 from repro.experiments.store import ReportStore
 from repro.experiments.sweep import plan_grid, sweep_grid
 from repro.utils import faults
@@ -31,11 +31,16 @@ def store(tmp_path):
     return ReportStore(tmp_path / "store")
 
 
+def _reports_of(request):
+    return workload_evaluator(request).reports(request.architecture,
+                                               request.overbooking_target)
+
+
 class TestTransientStoreFaults:
     def test_load_retries_through_injected_oserror(self, store, test_suite):
         plan = plan_grid(test_suite, y_values=[0.05])
         request = plan.unique_requests[0]
-        _, reports = scheduler_module._evaluate_request(request)
+        reports = _reports_of(request)
         store.store(request.memo_key, reports)
 
         faults.set_injector(FaultInjector.from_spec("store.load=2"))
@@ -47,7 +52,7 @@ class TestTransientStoreFaults:
     def test_store_retries_through_injected_oserror(self, store, test_suite):
         plan = plan_grid(test_suite, y_values=[0.05])
         request = plan.unique_requests[0]
-        _, reports = scheduler_module._evaluate_request(request)
+        reports = _reports_of(request)
 
         faults.set_injector(FaultInjector.from_spec("store.store=1"))
         store.store(request.memo_key, reports)
@@ -59,7 +64,7 @@ class TestTransientStoreFaults:
         """A *persistent* I/O failure (budget > attempts) must surface."""
         plan = plan_grid(test_suite, y_values=[0.05])
         request = plan.unique_requests[0]
-        _, reports = scheduler_module._evaluate_request(request)
+        reports = _reports_of(request)
         store.store(request.memo_key, reports)
 
         faults.set_injector(FaultInjector.from_spec("store.load=100"))
@@ -69,7 +74,7 @@ class TestTransientStoreFaults:
     def test_torn_write_quarantined_on_next_load(self, store, test_suite):
         plan = plan_grid(test_suite, y_values=[0.05])
         request = plan.unique_requests[0]
-        _, reports = scheduler_module._evaluate_request(request)
+        reports = _reports_of(request)
 
         faults.set_injector(FaultInjector.from_spec("store.corrupt=1"))
         path = store.store(request.memo_key, reports)

@@ -1,13 +1,15 @@
 """Scheduler determinism and bookkeeping.
 
-The headline test is the ISSUE's golden comparison: reports produced by the
+The headline test is the golden comparison: reports produced by the
 multi-process scheduler (2 workers, suites rebuilt from seeds in the
-workers) must match a single-process ``ExperimentContext.full().all_reports()``
-to 1e-9 on every headline quantity.
+workers) must match the single-process per-point engine
+(``ExTensorModel.evaluate_workload``, independent of the batch evaluator the
+scheduler runs) to 1e-9 on every headline quantity.
 """
 
 import pytest
 
+from repro.accelerator.extensor import AcceleratorVariant, ExTensorModel
 from repro.experiments.runner import (
     ExperimentContext,
     clear_process_caches,
@@ -40,6 +42,18 @@ def _report_values(report):
     }
 
 
+def _engine_reports(context):
+    """Every workload of ``context`` through the per-point engine."""
+    model = ExTensorModel(context.architecture, [
+        AcceleratorVariant.naive(),
+        AcceleratorVariant.prescient(),
+        AcceleratorVariant.overbooking(
+            overbooking_target=context.overbooking_target),
+    ])
+    return {name: model.evaluate_workload(context.workload(name))
+            for name in context.workload_names}
+
+
 def _assert_reports_equal(serial, parallel, rel=1e-9):
     assert sorted(parallel) == sorted(serial)
     for workload, per_variant in serial.items():
@@ -57,7 +71,7 @@ def _assert_reports_equal(serial, parallel, rel=1e-9):
 class TestParallelEqualsSerial:
     def test_full_suite_two_workers_matches_serial_golden(self):
         clear_process_caches()
-        serial = ExperimentContext.full().all_reports()
+        serial = _engine_reports(ExperimentContext.full())
 
         clear_process_caches()
         context = ExperimentContext.full()
@@ -71,7 +85,7 @@ class TestParallelEqualsSerial:
 
     def test_quick_suite_two_workers_matches_serial(self):
         clear_process_caches()
-        serial = ExperimentContext.quick().all_reports()
+        serial = _engine_reports(ExperimentContext.quick())
 
         clear_process_caches()
         context = ExperimentContext.quick()

@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 
 from repro.accelerator.config import ArchitectureConfig, scaled_default_config
 from repro.accelerator.extensor import AcceleratorVariant, ExTensorModel
-from repro.model.batch import (
-    BatchWorkloadEvaluator,
-    config_grid,
-    evaluate_workload_grid,
-)
+from repro.model.batch import BatchWorkloadEvaluator, config_grid
 from repro.model.workload import WorkloadDescriptor
 from repro.tensor.kernels import kernel_names
 from repro.tensor.suite import synth_suite
@@ -68,7 +64,7 @@ class TestDifferentialAgainstEngine:
         for name in test_suite.names:
             workload = WorkloadDescriptor.from_suite(test_suite, name,
                                                      kernel=kernel)
-            batched = evaluate_workload_grid(workload, configs)
+            batched = BatchWorkloadEvaluator(workload).prime(configs)
             for (architecture, y), got in zip(configs, batched):
                 want = golden_reports(workload, architecture, y)
                 assert_reports_match(got, want, f"{kernel}/{name}/y={y}")
@@ -86,7 +82,7 @@ class TestDifferentialAgainstEngine:
                               num_pes=(16, 128))
         for name in suite.names:
             workload = WorkloadDescriptor.from_suite(suite, name)
-            batched = evaluate_workload_grid(workload, configs)
+            batched = BatchWorkloadEvaluator(workload).prime(configs)
             for (architecture, y), got in zip(configs, batched):
                 want = golden_reports(workload, architecture, y)
                 assert_reports_match(got, want, f"synth/{name}/y={y}")
@@ -114,13 +110,30 @@ class TestDifferentialAgainstEngine:
                                                  test_suite.names[0])
         evaluator = BatchWorkloadEvaluator(workload)
         architecture = scaled_default_config()
-        low = evaluator.reports(architecture, 0.05)
-        high = evaluator.reports(architecture, 0.30)
+        low, high = evaluator.prime([(architecture, 0.05),
+                                     (architecture, 0.30)])
         naive = AcceleratorVariant.naive().name
         prescient = AcceleratorVariant.prescient().name
-        # Same objects, not merely equal: the y axis shares one evaluation.
+        # Same objects, not merely equal: within one prime call the y axis
+        # shares one evaluation.
         assert low[naive] is high[naive]
         assert low[prescient] is high[prescient]
+        assert low[AcceleratorVariant.overbooking(
+            overbooking_target=0.05).name] is not high[
+                AcceleratorVariant.overbooking(overbooking_target=0.30).name]
+
+    def test_prime_returns_reports_aligned_with_configs(self, test_suite):
+        workload = WorkloadDescriptor.from_suite(test_suite,
+                                                 test_suite.names[0])
+        configs = config_grid(scaled_default_config(), y_values=(0.22, 0.05),
+                              num_pes=(64, 4))
+        configs.append(configs[0])  # a repeated cell keeps its slot
+        got = BatchWorkloadEvaluator(workload).prime(configs)
+        assert len(got) == len(configs)
+        for (architecture, y), reports in zip(configs, got):
+            assert_reports_match(reports,
+                                 golden_reports(workload, architecture, y),
+                                 f"aligned/y={y}")
 
 
 class TestRandomGrids:
@@ -150,7 +163,7 @@ class TestRandomGrids:
         configs = config_grid(scaled_default_config(), y_values=y_values,
                               glb_capacities=glb, pe_buffer_capacities=pe,
                               num_pes=pes)
-        batched = evaluate_workload_grid(workload, configs)
+        batched = BatchWorkloadEvaluator(workload).prime(configs)
         # Aligned with the configs (duplicated y values included), and every
         # cell bit-identical to the golden engine.
         assert len(batched) == len(configs)

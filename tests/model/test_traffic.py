@@ -9,7 +9,6 @@ from repro.model.traffic import (
     FetchPolicy,
     LevelTraffic,
     operand_fetches,
-    stationary_level_traffic,
 )
 
 
@@ -77,42 +76,6 @@ class TestLevelTraffic:
         with pytest.raises(ValueError):
             LevelTraffic(level="x", stationary_reads=-1.0, stationary_baseline=0.0,
                          streaming_reads=0.0, output_writes=0.0)
-
-
-class TestStationaryLevelTraffic:
-    def test_assembly(self):
-        traffic = stationary_level_traffic(
-            level="dram",
-            occupancies=np.array([100, 100]),
-            capacity=150,
-            fifo_words=10,
-            streaming_tiles=4,
-            streaming_nonzeros=1000,
-            output_nonzeros=200,
-            words_per_nonzero=2.0,
-            output_words_per_nonzero=2.0,
-            policy=FetchPolicy.TAILORS,
-        )
-        assert traffic.stationary_reads == pytest.approx(400.0)   # both tiles fit
-        assert traffic.stationary_baseline == pytest.approx(400.0)
-        assert traffic.streaming_reads == pytest.approx(2 * 1000 * 2.0)
-        assert traffic.output_writes == pytest.approx(400.0)
-
-    def test_overbooked_stationary_tile(self):
-        traffic = stationary_level_traffic(
-            level="dram",
-            occupancies=np.array([200]),
-            capacity=100,
-            fifo_words=20,
-            streaming_tiles=3,
-            streaming_nonzeros=500,
-            output_nonzeros=0,
-            words_per_nonzero=1.0,
-            output_words_per_nonzero=1.0,
-            policy=FetchPolicy.TAILORS,
-        )
-        assert traffic.stationary_reads == pytest.approx(80 + 120 * 3)
-        assert traffic.streaming_overhead == pytest.approx(80 + 120 * 3 - 200)
 
 
 @settings(max_examples=30, deadline=None)

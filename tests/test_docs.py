@@ -7,7 +7,9 @@ public module loses its docstring, a test fails here rather than a reader
 finding out.
 """
 
+import argparse
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +36,28 @@ DOCUMENTED_MODULES = (
     "repro.utils.faults",
     "repro.utils.retry",
 )
+
+
+def _documented_cli_flags(text=None):
+    """Every ``--flag`` spelled anywhere in ``text`` (default: CLI.md)."""
+    if text is None:
+        text = (REPO_ROOT / "docs" / "CLI.md").read_text()
+    return sorted(set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)))
+
+
+def _cli_option_strings(parser=None):
+    """The option strings of ``parser`` and all its nested subparsers."""
+    if parser is None:
+        from repro.cli import build_parser
+
+        parser = build_parser()
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= _cli_option_strings(subparser)
+    return options
 
 
 class TestDocFiles:
@@ -72,6 +96,19 @@ class TestDocFiles:
             assert f"`{name}`" in text, f"docs/CLI.md lacks `{name}`"
         # The overwrite guard is documented (ISSUE satellite).
         assert "--force" in text and "--resume" in text
+
+    @pytest.mark.parametrize("flag", _documented_cli_flags())
+    def test_cli_doc_flag_is_accepted(self, flag):
+        """A row for a removed option fails here instead of misleading."""
+        assert flag in _cli_option_strings(), (
+            f"docs/CLI.md names {flag}, which no repro subcommand accepts")
+
+    def test_stale_flag_row_would_be_caught(self):
+        stale = "| `--workers N` | ... |\n| `--retired-option` | gone |\n"
+        flags = _documented_cli_flags(stale)
+        assert flags == ["--retired-option", "--workers"]
+        assert [flag for flag in flags
+                if flag not in _cli_option_strings()] == ["--retired-option"]
 
     def test_broken_link_detected(self, tmp_path):
         (tmp_path / "docs").mkdir()
