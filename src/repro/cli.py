@@ -136,7 +136,7 @@ from repro.experiments.store import (
     format_stats,
     format_verify,
 )
-from repro.experiments.sweep import format_summaries, sweep_grid
+from repro.experiments.sweep import check_scales, format_summaries, sweep_grid
 from repro.server.service import DEFAULT_BATCH_WINDOW as SERVER_DEFAULT_BATCH_WINDOW
 from repro.tensor import corpus as corpus_manager
 from repro.tensor.kernels import kernel_names
@@ -151,6 +151,15 @@ def _parse_floats(text: str) -> List[float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated list of numbers, got {text!r}") from None
+
+
+def _parse_scales(text: str) -> List[float]:
+    scales = _parse_floats(text)
+    try:
+        check_scales("scales", scales)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return scales
 
 
 def _parse_kernels(text: str) -> List[str]:
@@ -260,10 +269,10 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--y", type=_parse_floats, default=[0.05, 0.10, 0.22],
                         metavar="Y1,Y2,...",
                         help="overbooking targets (default: 0.05,0.10,0.22)")
-    parser.add_argument("--glb-scales", type=_parse_floats, default=[1.0],
+    parser.add_argument("--glb-scales", type=_parse_scales, default=[1.0],
                         metavar="S1,S2,...",
                         help="GLB capacity scaling factors (default: 1.0)")
-    parser.add_argument("--pe-scales", type=_parse_floats, default=[1.0],
+    parser.add_argument("--pe-scales", type=_parse_scales, default=[1.0],
                         metavar="S1,S2,...",
                         help="PE buffer scaling factors (default: 1.0)")
     parser.add_argument("--kernel", type=_parse_kernels, default=["gram"],
@@ -406,11 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="Y1,Y2,...",
                         help="seed overbooking-target axis "
                              "(default: 0.05,0.10,0.22)")
-    search.add_argument("--glb-scales", type=_parse_floats,
+    search.add_argument("--glb-scales", type=_parse_scales,
                         default=[0.5, 1.0, 2.0], metavar="S1,S2,...",
                         help="seed GLB capacity scaling axis "
                              "(default: 0.5,1.0,2.0)")
-    search.add_argument("--pe-scales", type=_parse_floats,
+    search.add_argument("--pe-scales", type=_parse_scales,
                         default=[0.5, 1.0, 2.0], metavar="S1,S2,...",
                         help="seed PE buffer scaling axis "
                              "(default: 0.5,1.0,2.0)")

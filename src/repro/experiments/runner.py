@@ -1,8 +1,8 @@
-"""Shared experiment context: workloads, accelerator model, cached reports."""
+"""The process evaluation cache and the experiment context that reads it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.accelerator.config import ArchitectureConfig, scaled_default_config
@@ -16,63 +16,90 @@ from repro.model.stats import PerformanceReport
 from repro.model.workload import WorkloadDescriptor
 from repro.tensor.kernels import kernel_spec
 from repro.tensor.sparse import SparseMatrix
-from repro.tensor.suite import WorkloadSuite, default_suite, small_suite
+from repro.tensor.suite import (
+    WorkloadSuite,
+    clear_shared_matrix_cache,
+    default_suite,
+    small_suite,
+    suite_from_token,
+)
 
-#: Process-wide report memo for canonical suites.  A report is a deterministic
-#: function of (suite identity, architecture, overbooking target, kernel,
-#: workload),
-#: and :class:`~repro.model.stats.PerformanceReport` is immutable, so contexts
-#: over the same canonical suite share evaluations — a fresh
-#: ``ExperimentContext.full()`` does not re-evaluate workloads an earlier
-#: context already evaluated.  Custom suites (``cache_token is None``)
-#: never share.
-_REPORT_MEMO: Dict[tuple, Dict[str, PerformanceReport]] = {}
+
+class EvaluationCache:
+    """Every process-level evaluation dict, keyed by the suite token.
+
+    Three tiers: ``suites`` by token (seeded with the caller's own suite,
+    else rebuilt by :func:`~repro.tensor.suite.suite_from_token`);
+    ``evaluators``, one :class:`~repro.model.batch.BatchWorkloadEvaluator`
+    (holding its workload descriptor, hence its operation counts and
+    tilings) per ``(token, kernel, workload)``; and ``reports`` by memo key
+    ``(token, architecture, overbooking target, kernel, workload)``.
+    Reports are deterministic in their key and immutable, so every context,
+    scheduler pass, shard worker and service request shares one entry.
+
+    There is no lock: every entry is a pure function of its key, so two
+    threads missing at once only duplicate work, and pool workers fork
+    while service threads may be mid-call — a held lock would be inherited
+    locked.
+    """
+
+    def __init__(self) -> None:
+        self.suites: Dict[object, WorkloadSuite] = {}
+        self.evaluators: Dict[tuple, BatchWorkloadEvaluator] = {}
+        self.reports: Dict[tuple, Dict[str, PerformanceReport]] = {}
+
+    def evaluator(self, token, kernel: str, workload: str,
+                  suite: Optional[WorkloadSuite] = None
+                  ) -> BatchWorkloadEvaluator:
+        """The shared evaluator of ``(token, kernel, workload)``; a suite
+        miss keeps ``suite`` (else rebuilds it from the token)."""
+        key = (token, kernel, workload)
+        evaluator = self.evaluators.get(key)
+        if evaluator is None:
+            if token not in self.suites:
+                self.suites[token] = (suite if suite is not None
+                                      else suite_from_token(token))
+            evaluator = self.evaluators[key] = BatchWorkloadEvaluator(
+                WorkloadDescriptor.from_suite(self.suites[token], workload,
+                                              kernel=kernel))
+        return evaluator
+
+    def evaluate(self, memo_key: tuple,
+                 suite: Optional[WorkloadSuite] = None
+                 ) -> Dict[str, PerformanceReport]:
+        """The reports of ``memo_key``; a miss goes through the shared
+        evaluator and is kept."""
+        reports = self.reports.get(memo_key)
+        if reports is None:
+            token, architecture, overbooking_target, kernel, workload = memo_key
+            reports = self.reports[memo_key] = self.evaluator(
+                token, kernel, workload, suite).reports(architecture,
+                                                        overbooking_target)
+        return reports
+
+    def clear(self) -> None:
+        self.suites.clear()
+        self.evaluators.clear()
+        self.reports.clear()
+
+
+#: The process's evaluation cache: contexts, the scheduler (and its pool
+#: workers), shard workers and the evaluation service all read and fill it.
+CACHE = EvaluationCache()
 
 
 def clear_process_caches() -> None:
-    """Evict every process-wide memo (reports, suite matrices and, with them,
-    each matrix's derived-result caches).
+    """Evict every process-wide cache: :data:`CACHE` and the suite matrices
+    (with them, each matrix's derived-result caches).
 
-    The memos are bounded for the standard pipeline, but long-running
-    parameter sweeps that vary architectures or overbooking targets across
-    many contexts accumulate one entry per configuration — call this between
-    sweep phases to release them.  Also what the benchmark harness uses to
+    The caches are bounded for the standard pipeline, but long-running
+    parameter sweeps that vary architectures or overbooking targets
+    accumulate one report entry per configuration — call this between sweep
+    phases to release them.  Also what the benchmark harness uses to
     measure a genuinely cold run in a warm process.
     """
-    import sys
-
-    from repro.tensor.suite import clear_shared_matrix_cache
-
-    _REPORT_MEMO.clear()
+    CACHE.clear()
     clear_shared_matrix_cache()
-    # The scheduler keeps its own suite/context caches for serial fallback;
-    # clear them too (via sys.modules rather than an import: scheduler
-    # imports runner, and an unimported scheduler has nothing to clear).
-    scheduler_mod = sys.modules.get("repro.experiments.scheduler")
-    if scheduler_mod is not None:
-        scheduler_mod.clear_worker_caches()
-
-
-def memoized_reports(memo_key: tuple) -> Optional[Dict[str, PerformanceReport]]:
-    """The process-wide memo entry for ``memo_key``, or ``None`` if cold.
-
-    The key layout is ``(suite token, architecture, overbooking target,
-    kernel, workload)`` — what :meth:`ExperimentContext.memo_key` produces.
-    Used by the parallel scheduler to split a batch into warm and cold
-    requests.
-    """
-    return _REPORT_MEMO.get(memo_key)
-
-
-def store_memoized_reports(memo_key: tuple,
-                           reports: Dict[str, PerformanceReport]) -> None:
-    """Merge externally computed reports into the process-wide memo.
-
-    The scheduler calls this with reports evaluated in worker processes;
-    afterwards any context over the same canonical suite serves them from the
-    memo instead of re-evaluating them.
-    """
-    _REPORT_MEMO[memo_key] = dict(reports)
 
 
 @dataclass
@@ -99,11 +126,13 @@ class ExperimentContext:
     architecture: ArchitectureConfig = field(default_factory=scaled_default_config)
     overbooking_target: float = 0.10
     kernel: str = "gram"
-    _workloads: Dict[str, WorkloadDescriptor] = field(default_factory=dict, repr=False)
-    _reports: Dict[str, Dict[str, PerformanceReport]] = field(default_factory=dict, repr=False)
+    _cache: EvaluationCache = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         kernel_spec(self.kernel)  # fail fast on unknown kernels
+        # Custom suites get a private cache: same code path, no sharing.
+        self._cache = (CACHE if self.suite_token is not None
+                       else EvaluationCache())
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -136,12 +165,7 @@ class ExperimentContext:
         every cached matrix and tiling), so sweeping ``y`` re-runs only the
         evaluations that actually depend on it.
         """
-        return ExperimentContext(
-            suite=self.suite,
-            architecture=self.architecture,
-            overbooking_target=float(overbooking_target),
-            kernel=self.kernel,
-        )
+        return replace(self, overbooking_target=float(overbooking_target))
 
     def with_kernel(self, kernel: str) -> "ExperimentContext":
         """A context over the same suite/architecture evaluating ``kernel``.
@@ -150,12 +174,7 @@ class ExperimentContext:
         their tiling caches) are reused across kernels; only the kernel's own
         operands and evaluations are new.
         """
-        return ExperimentContext(
-            suite=self.suite,
-            architecture=self.architecture,
-            overbooking_target=self.overbooking_target,
-            kernel=str(kernel),
-        )
+        return replace(self, kernel=str(kernel))
 
     # ------------------------------------------------------------------ #
     # Cached accessors
@@ -169,16 +188,15 @@ class ExperimentContext:
         return self.suite.matrix(name)
 
     def workload(self, name: str) -> WorkloadDescriptor:
-        """The (cached) workload descriptor for ``name`` under this kernel.
+        """The workload descriptor for ``name`` under this kernel — the one
+        the cached evaluator of ``(suite, kernel, name)`` holds.
 
-        ``kernel="gram"`` (the default) builds the paper's ``A × Aᵀ`` exactly
-        as before; other kernels resolve their extra operands (paired sparse
-        matrices, deterministic dense factors) from the suite.
+        ``kernel="gram"`` (the default) builds the paper's ``A × Aᵀ``; other
+        kernels resolve their extra operands (paired sparse matrices,
+        deterministic dense factors) from the suite.
         """
-        if name not in self._workloads:
-            self._workloads[name] = WorkloadDescriptor.from_suite(
-                self.suite, name, kernel=self.kernel)
-        return self._workloads[name]
+        return self._cache.evaluator(self.suite_token, self.kernel, name,
+                                     self.suite).workload
 
     @property
     def suite_token(self):
@@ -189,40 +207,22 @@ class ExperimentContext:
         """
         return self.suite.cache_token
 
-    def memo_key(self, name: str):
-        """Process-wide memo key for workload ``name`` (``None`` = unshared).
-
-        Layout: ``(suite token, architecture, overbooking target, kernel,
-        workload)`` — mirrored by
-        :attr:`repro.experiments.scheduler.EvaluationRequest.memo_key`.
-        """
-        suite_token = self.suite_token
-        if suite_token is None:
-            return None
-        return (suite_token, self.architecture, self.overbooking_target,
+    def memo_key(self, name: str) -> tuple:
+        """The cache key of workload ``name``: ``(suite token, architecture,
+        overbooking target, kernel, workload)`` — the layout of
+        :attr:`repro.experiments.scheduler.EvaluationRequest.memo_key`."""
+        return (self.suite_token, self.architecture, self.overbooking_target,
                 self.kernel, name)
 
     def reports(self, name: str) -> Dict[str, PerformanceReport]:
-        """Per-variant performance reports for workload ``name`` (cached).
+        """Per-variant performance reports for workload ``name``.
 
-        Caching is two-level: per-context, plus a process-wide memo for the
-        canonical suites so repeated contexts (every figure script builds its
-        own) evaluate each (workload, variant) pair once per process.
+        The :class:`EvaluationCache` entry itself (the same object on every
+        call), evaluated through the shared evaluator on a miss — so every
+        context over a canonical suite, and every scheduler pass before it,
+        evaluates each (workload, variant) pair once per process.
         """
-        if name not in self._reports:
-            memo_key = self.memo_key(name)
-            memoized = _REPORT_MEMO.get(memo_key) if memo_key is not None else None
-            if memoized is not None:
-                # Copy at the memo boundary: callers may mutate the returned
-                # dict without polluting other contexts.
-                self._reports[name] = dict(memoized)
-            else:
-                self._reports[name] = BatchWorkloadEvaluator(
-                    self.workload(name)).reports(self.architecture,
-                                                 self.overbooking_target)
-                if memo_key is not None:
-                    _REPORT_MEMO[memo_key] = dict(self._reports[name])
-        return self._reports[name]
+        return self._cache.evaluate(self.memo_key(name), self.suite)
 
     def all_reports(self) -> Dict[str, Dict[str, PerformanceReport]]:
         """Reports for every workload in the suite."""

@@ -7,16 +7,18 @@ that into a batch problem:
 
 1. **Batch** — union the :class:`EvaluationRequest`s of all selected
    experiments (and sweep grid points) up front.
-2. **Deduplicate** — drop requests already present in the process-wide report
-   memo of :mod:`repro.experiments.runner`; experiments sharing evaluations
-   (Figs. 7/8/9, every sweep point at the default ``y``) cost one evaluation.
+2. **Deduplicate** — drop requests already present in the report tier of
+   the process cache (:data:`repro.experiments.runner.CACHE`); experiments
+   sharing evaluations (Figs. 7/8/9, every sweep point at the default ``y``)
+   cost one evaluation.
 3. **Fan out** — evaluate the cold requests on a
    :class:`~concurrent.futures.ProcessPoolExecutor`.  A request is picklable
    because it carries the suite's *token*, not the suite: workers rebuild
-   suites from seeds via :func:`repro.tensor.suite.suite_from_token` and keep
-   them (plus their matrix/tiling caches) alive for the life of the worker.
+   suites from seeds via :func:`repro.tensor.suite.suite_from_token` into
+   their own copy of the cache, which keeps them (plus their evaluators and
+   matrix/tiling caches) alive for the life of the worker.
 4. **Merge** — per-variant reports come back pickled and are merged into the
-   process-wide memo, so the experiments afterwards run serially against warm
+   parent's cache, so the experiments afterwards run serially against warm
    caches.
 
 When constructed with a :class:`~repro.experiments.store.ReportStore`, the
@@ -42,11 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.accelerator.config import ArchitectureConfig
-from repro.experiments.runner import (
-    ExperimentContext,
-    memoized_reports,
-    store_memoized_reports,
-)
+from repro.experiments.runner import CACHE, ExperimentContext
 
 #: Signature of the per-request completion hook: ``(request, reports,
 #: source)`` with ``source`` one of ``"store"`` (served from the on-disk
@@ -54,7 +52,6 @@ from repro.experiments.runner import (
 ResultHook = Callable[
     ["EvaluationRequest", Dict[str, "PerformanceReport"], str], None]
 from repro.model.stats import PerformanceReport
-from repro.tensor.suite import suite_from_token
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ def requests_for_context(
     the kernel axis (e.g. the cross-kernel Table 3).  ``targets`` defaults to
     every suite workload at the context's overbooking target and kernel.
     Returns ``[]`` for custom suites (no token — nothing to ship to a worker;
-    such contexts evaluate serially as before).
+    such contexts evaluate in-process through their private cache).
     """
     token = context.suite_token
     if token is None:
@@ -151,81 +148,23 @@ def requests_for_context(
 # --------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------- #
-#: Per-worker caches: suites keyed by token (sharing matrices and their
-#: tiling caches across requests), contexts keyed by full configuration, and
-#: batched evaluators keyed by ``(suite token, kernel, workload)``.
-_WORKER_SUITES: Dict[tuple, object] = {}
-_WORKER_CONTEXTS: Dict[tuple, ExperimentContext] = {}
-_WORKER_EVALUATORS: Dict[tuple, object] = {}
-
-
-def clear_worker_caches() -> None:
-    """Evict the scheduler's suite/context/evaluator caches (this process
-    only).
-
-    Called by :func:`repro.experiments.runner.clear_process_caches` so a
-    "cold" measurement is cold on the serial-fallback path too; worker
-    processes of a *future* pool start from whatever the parent holds at
-    fork time.
-    """
-    _WORKER_SUITES.clear()
-    _WORKER_CONTEXTS.clear()
-    _WORKER_EVALUATORS.clear()
-
-
-def _worker_context(request: EvaluationRequest) -> ExperimentContext:
-    key = (request.suite_token, request.architecture,
-           request.overbooking_target, request.kernel)
-    context = _WORKER_CONTEXTS.get(key)
-    if context is None:
-        suite = _WORKER_SUITES.get(request.suite_token)
-        if suite is None:
-            suite = suite_from_token(request.suite_token)
-            _WORKER_SUITES[request.suite_token] = suite
-        context = ExperimentContext(
-            suite=suite,
-            architecture=request.architecture,
-            overbooking_target=request.overbooking_target,
-            kernel=request.kernel,
-        )
-        _WORKER_CONTEXTS[key] = context
-    return context
-
-
 def _group_key(request: EvaluationRequest) -> tuple:
     """The batching axis: requests differing only in architecture / ``y``
     share one workload (operands, tilings, occupancy reductions)."""
     return (request.suite_token, request.kernel, request.workload)
 
 
-def workload_evaluator(request: EvaluationRequest):
-    """The (cached) batched evaluator for a request's ``(kernel, workload)``.
-
-    Builds the workload through the worker's suite/context caches, so
-    operands — and every tiling memoized on them — are shared by every
-    evaluator over the same suite.
-    """
-    from repro.model.batch import BatchWorkloadEvaluator
-
-    key = _group_key(request)
-    evaluator = _WORKER_EVALUATORS.get(key)
-    if evaluator is None:
-        context = _worker_context(request)
-        evaluator = BatchWorkloadEvaluator(context.workload(request.workload))
-        _WORKER_EVALUATORS[key] = evaluator
-    return evaluator
-
-
 def _evaluate_request_group(
         unit: Tuple[EvaluationRequest, ...],
 ) -> List[Tuple[EvaluationRequest, Dict[str, PerformanceReport]]]:
     """Worker entry point for one batch group: every (architecture, y) cell
-    of one ``(suite, kernel, workload)`` through the vectorized evaluator.
+    of one ``(suite, kernel, workload)`` through the process's cached
+    evaluator (:data:`repro.experiments.runner.CACHE`).
 
     Returns one ``(request, reports)`` pair *per cell* — the parent merges
     (and persists) each individually, so store accounting stays per-cell.
     """
-    reports = workload_evaluator(unit[0]).prime(
+    reports = CACHE.evaluator(*_group_key(unit[0])).prime(
         [(request.architecture, request.overbooking_target)
          for request in unit])
     return list(zip(unit, reports))
@@ -278,9 +217,9 @@ class EvaluationScheduler:
     # ------------------------------------------------------------------ #
     def prefetch(self, requests: Sequence[EvaluationRequest], *,
                  on_result: Optional[ResultHook] = None) -> ScheduleStats:
-        """Ensure every request's reports are in the process-wide memo.
+        """Ensure every request's reports are in the process cache.
 
-        Deduplicates against the memo, evaluates the cold remainder (in
+        Deduplicates against the cache, evaluates the cold remainder (in
         parallel when worth it), merges the results, and reports what it did.
         Afterwards ``context.reports(...)`` for any covered configuration is
         a memo hit.
@@ -317,7 +256,7 @@ class EvaluationScheduler:
         store_hits = 0
         cold = []
         candidates = [(key, request) for key, request in unique.items()
-                      if memoized_reports(key) is None]
+                      if key not in CACHE.reports]
         if self.store is not None and candidates:
             # One bulk lookup for every memo-cold key: the store scans each
             # needed shard directory once (see ReportStore.load_many) instead
@@ -328,7 +267,7 @@ class EvaluationScheduler:
             for key, request in candidates:
                 reports = loaded.get(key)
                 if reports is not None:
-                    store_memoized_reports(key, reports)
+                    CACHE.reports[key] = reports
                     store_hits += 1
                     notify(request, reports, "store")
                 else:
@@ -343,7 +282,7 @@ class EvaluationScheduler:
 
         def merge(request: EvaluationRequest,
                   reports: Dict[str, PerformanceReport]) -> None:
-            store_memoized_reports(request.memo_key, reports)
+            CACHE.reports[request.memo_key] = reports
             merged_keys.add(request.memo_key)
             if self.store is not None:
                 # Persist immediately (one atomic file per request), so an

@@ -63,11 +63,12 @@ import numpy as np
 
 from repro.accelerator.config import ArchitectureConfig, scaled_default_config
 from repro.experiments.registry import deterministic_payload
-from repro.experiments.runner import ExperimentContext
+from repro.accelerator.extensor import AcceleratorVariant
+from repro.experiments.runner import CACHE
 from repro.experiments.scheduler import (
+    EvaluationRequest,
     EvaluationScheduler,
     ScheduleStats,
-    requests_for_context,
 )
 from repro.experiments.surrogate import (
     PREDICTED_METRICS,
@@ -80,7 +81,10 @@ from repro.experiments.sweep import (
     _refusing_overwrite,
     _scaled_architecture,
     _store_aware_scheduler,
+    check_scales,
+    require_token,
 )
+from repro.tensor.kernels import kernel_spec
 from repro.tensor.suite import WorkloadSuite, synth_suite
 from repro.tensor.synth import specs_by_workload_name
 
@@ -370,14 +374,17 @@ def search_frontier(suite: Optional[WorkloadSuite] = None, *,
         raise ValueError("search_frontier needs a suite (or synth specs)")
     if not kernels:
         raise ValueError("kernels must not be empty")
-    if not (y_values and glb_scales and pe_scales):
+    if not y_values:
         raise ValueError("every search axis needs at least one seed value")
+    check_scales("glb_scales", glb_scales)
+    check_scales("pe_scales", pe_scales)
     if max_generations < 1:
         raise ValueError("max_generations must be >= 1")
     if not (0.0 < surrogate_budget <= 1.0):
         raise ValueError("surrogate_budget must be in (0, 1]")
     if workloads is not None:
         suite = suite.subset(list(workloads))
+    token = require_token(suite)
     constraint_list: List[Constraint] = [parse_constraint(item)
                                          for item in (constraints or ())]
     synth_specs = specs_by_workload_name(suite)
@@ -389,7 +396,7 @@ def search_frontier(suite: Optional[WorkloadSuite] = None, *,
         "glb": sorted(_round(s) for s in glb_scales),
         "pe": sorted(_round(s) for s in pe_scales),
     }
-    kernels = [str(kernel) for kernel in kernels]
+    kernels = [kernel_spec(str(kernel)).name for kernel in kernels]
     group_keys = [(kernel, name) for kernel in kernels for name in suite.names]
     surrogate = DesignSurrogate(num_pes=base.num_pes) if use_surrogate else None
     predicted_bounds = [(PREDICTED_METRICS[c.metric], c.bound)
@@ -450,50 +457,44 @@ def search_frontier(suite: Optional[WorkloadSuite] = None, *,
     def evaluate_batch(configs: Sequence[DesignConfig],
                        generation: int) -> ScheduleStats:
         """One batched, store-aware fan-out; results land in ``points``."""
-        contexts: Dict[Tuple[str, DesignConfig], ExperimentContext] = {}
-        requests = []
+        cells = []
         for config in configs:
             architecture = _scaled_architecture(
                 base, config.glb_scale, config.pe_scale)
-            for kernel in kernels:
-                context = ExperimentContext(
-                    suite=suite, architecture=architecture,
-                    overbooking_target=config.overbooking_target,
-                    kernel=kernel)
-                contexts[(kernel, config)] = context
-                requests.extend(requests_for_context(context))
-        stats = scheduler.prefetch(requests)
+            cells.extend((config, EvaluationRequest(
+                suite_token=token, architecture=architecture,
+                overbooking_target=config.overbooking_target, workload=name,
+                kernel=kernel)) for kernel in kernels for name in suite.names)
+        stats = scheduler.prefetch([request for _, request in cells])
 
         for config in configs:
             evaluated[config] = []
-            for kernel in kernels:
-                context = contexts[(kernel, config)]
-                for name in context.workload_names:
-                    reports = context.reports(name)
-                    overbooking = reports[context.overbooking_name]
-                    spec = synth_specs.get(name)
-                    point = DesignPoint(
-                        kernel=kernel,
-                        workload=name,
-                        model=spec.model if spec is not None else "",
-                        model_params=(spec.params_label
-                                      if spec is not None else ""),
-                        config=config,
-                        glb_capacity_words=context.architecture.glb_capacity_words,
-                        pe_buffer_capacity_words=(
-                            context.architecture.pe_buffer_capacity_words),
-                        generation=generation,
-                        cycles=overbooking.cycles,
-                        energy_pj=overbooking.total_energy_pj,
-                        dram_words=overbooking.dram_words,
-                        glb_overbooking_rate=overbooking.glb_overbooking_rate,
-                    )
-                    evaluated[config].append(point)
-                    points.append(point)
-                    point_by[(config, kernel, name)] = point
-                    if surrogate is not None:
-                        surrogate.observe(kernel, name, config,
-                                          point.objectives)
+        for config, request in cells:
+            kernel, name = request.kernel, request.workload
+            overbooking = CACHE.evaluate(request.memo_key, suite)[
+                AcceleratorVariant.overbooking(
+                    overbooking_target=config.overbooking_target).name]
+            spec = synth_specs.get(name)
+            point = DesignPoint(
+                kernel=kernel,
+                workload=name,
+                model=spec.model if spec is not None else "",
+                model_params=spec.params_label if spec is not None else "",
+                config=config,
+                glb_capacity_words=request.architecture.glb_capacity_words,
+                pe_buffer_capacity_words=(
+                    request.architecture.pe_buffer_capacity_words),
+                generation=generation,
+                cycles=overbooking.cycles,
+                energy_pj=overbooking.total_energy_pj,
+                dram_words=overbooking.dram_words,
+                glb_overbooking_rate=overbooking.glb_overbooking_rate,
+            )
+            evaluated[config].append(point)
+            points.append(point)
+            point_by[(config, kernel, name)] = point
+            if surrogate is not None:
+                surrogate.observe(kernel, name, config, point.objectives)
         return stats
 
     def survivor_adjacent(config: DesignConfig,

@@ -56,8 +56,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.scheduler import EvaluationScheduler, workload_evaluator
-from repro.experiments.runner import store_memoized_reports
+from repro.experiments.runner import CACHE
+from repro.experiments.scheduler import EvaluationScheduler
 from repro.experiments.store import (
     LEASES_DIR,
     ReportStore,
@@ -408,10 +408,8 @@ def run_shard(suite=None, *, shard, store: ReportStore,
             injector.count_claimed_cell()
             try:
                 with lease.keepalive():
-                    reports = workload_evaluator(request).reports(
-                        request.architecture, request.overbooking_target)
-                    store_memoized_reports(request.memo_key, reports)
-                    store.store(request.memo_key, reports)
+                    store.store(request.memo_key,
+                                CACHE.evaluate(request.memo_key, plan.suite))
             finally:
                 lease.release()
             counters["evaluated"] += 1

@@ -3,13 +3,13 @@
 The ROADMAP's scenario sweeps (overbooking target, GLB/PE capacity scaling,
 kernels, suite subsets, sparsity models) all reduce to evaluating a suite
 under a grid of ``(architecture, overbooking_target, kernel)`` configurations.
-:func:`sweep_grid`
-builds one :class:`~repro.experiments.runner.ExperimentContext` per grid
-point, batches *all* their evaluation requests through the
+:func:`sweep_grid` plans one
+:class:`~repro.experiments.scheduler.EvaluationRequest` per grid cell,
+batches *all* of them through the
 :class:`~repro.experiments.scheduler.EvaluationScheduler` (one fan-out for
 the whole grid, deduplicated against anything already evaluated), then
 collects per-workload rows and per-point geometric-mean summaries from the
-warm memo.
+warm process cache.
 
 Results serialize to JSON (:meth:`SweepResult.write_json`) and CSV
 (:meth:`SweepResult.write_csv`); both refuse to overwrite an existing file
@@ -34,19 +34,26 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.accelerator.config import ArchitectureConfig, scaled_default_config
+from repro.accelerator.extensor import (
+    AcceleratorVariant,
+    VARIANT_NAIVE,
+    VARIANT_PRESCIENT,
+)
 from repro.experiments.registry import deterministic_payload, to_jsonable
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.runner import CACHE
 from repro.experiments.scheduler import (
+    EvaluationRequest,
     EvaluationScheduler,
     ScheduleStats,
-    requests_for_context,
 )
 from repro.model.stats import geometric_mean
+from repro.tensor.kernels import kernel_spec
 from repro.tensor.suite import WorkloadSuite, synth_suite
 from repro.tensor.synth import specs_by_workload_name
 
@@ -239,6 +246,23 @@ def _store_aware_scheduler(scheduler: Optional[EvaluationScheduler], store,
     return scheduler
 
 
+def check_scales(name: str, scales: Sequence[float]) -> None:
+    """Reject an empty or nonpositive capacity-scale axis (``ValueError``)."""
+    if not scales:
+        raise ValueError(f"{name} must not be empty")
+    bad = [scale for scale in scales if not 0.0 < float(scale) < math.inf]
+    if bad:
+        raise ValueError(f"{name} must be positive and finite, got {bad}")
+
+
+def require_token(suite: WorkloadSuite):
+    """The suite's cache token; a custom suite (``None``) cannot be planned,
+    scheduled, stored or sharded (``ValueError``)."""
+    if suite.cache_token is None:
+        raise ValueError("a grid needs a suite with a cache token")
+    return suite.cache_token
+
+
 def _scaled_architecture(base: ArchitectureConfig, glb_scale: float,
                          pe_scale: float) -> ArchitectureConfig:
     if glb_scale == 1.0 and pe_scale == 1.0:
@@ -255,8 +279,9 @@ class GridPlan:
     """Everything a grid evaluation *is*, before anything is evaluated.
 
     The plan is a pure function of its inputs: the same suite, axes and base
-    architecture always produce the same contexts, points, requests (in the
-    same order) and signature.  :func:`sweep_grid` evaluates a plan in one
+    architecture always produce the same points, requests (in the same
+    order: every suite workload of ``points[0]``, then of ``points[1]``, …)
+    and signature.  :func:`sweep_grid` evaluates a plan in one
     process; :mod:`repro.experiments.shard` partitions the same plan across
     cooperating workers and merges it back — both write identical artifacts
     because both start from this object.
@@ -268,7 +293,6 @@ class GridPlan:
     glb_scales: tuple
     pe_scales: tuple
     kernels: tuple
-    contexts: tuple
     points: tuple
     requests: tuple
     signature: str
@@ -326,6 +350,10 @@ def plan_grid(suite: Optional[WorkloadSuite] = None, *,
         raise ValueError("y_values must not be empty")
     if not kernels:
         raise ValueError("kernels must not be empty")
+    for kernel in kernels:
+        kernel_spec(str(kernel))  # KeyError naming the known kernels
+    check_scales("glb_scales", glb_scales)
+    check_scales("pe_scales", pe_scales)
     if sum(axis is not None for axis in (suite, synth, corpus)) > 1:
         raise ValueError(
             "pass exactly one of a suite, synth specs, or corpus ids")
@@ -343,17 +371,15 @@ def plan_grid(suite: Optional[WorkloadSuite] = None, *,
     if workloads is not None:
         suite = suite.subset(list(workloads))
 
-    contexts: List[ExperimentContext] = []
+    token = require_token(suite)
     points: List[SweepPoint] = []
+    requests: List[EvaluationRequest] = []
     for kernel in kernels:
         for glb_scale in glb_scales:
             for pe_scale in pe_scales:
                 architecture = _scaled_architecture(base, float(glb_scale),
                                                     float(pe_scale))
                 for y in y_values:
-                    contexts.append(ExperimentContext(
-                        suite=suite, architecture=architecture,
-                        overbooking_target=float(y), kernel=str(kernel)))
                     points.append(SweepPoint(
                         overbooking_target=float(y),
                         glb_scale=float(glb_scale),
@@ -362,10 +388,12 @@ def plan_grid(suite: Optional[WorkloadSuite] = None, *,
                         pe_buffer_capacity_words=architecture.pe_buffer_capacity_words,
                         kernel=str(kernel),
                     ))
-
-    requests = []
-    for context in contexts:
-        requests.extend(requests_for_context(context))
+                    requests.extend(
+                        EvaluationRequest(
+                            suite_token=token, architecture=architecture,
+                            overbooking_target=float(y), workload=name,
+                            kernel=str(kernel))
+                        for name in suite.names)
 
     signature = sweep_signature(
         suite, y_values=y_values, glb_scales=glb_scales,
@@ -377,7 +405,6 @@ def plan_grid(suite: Optional[WorkloadSuite] = None, *,
         glb_scales=tuple(float(s) for s in glb_scales),
         pe_scales=tuple(float(s) for s in pe_scales),
         kernels=tuple(str(k) for k in kernels),
-        contexts=tuple(contexts),
         points=tuple(points),
         requests=tuple(requests),
         signature=signature,
@@ -387,21 +414,26 @@ def plan_grid(suite: Optional[WorkloadSuite] = None, *,
 def collect_result(plan: GridPlan, stats: ScheduleStats) -> SweepResult:
     """Assemble the :class:`SweepResult` of an evaluated plan.
 
-    Every cell must already be warm (prefetched, store-served, or computed);
-    this only reads reports out of the contexts and aggregates.  Shared by
-    :func:`sweep_grid` and the shard ``merge`` so both produce artifacts
-    from literally the same code path.
+    Every cell should already be warm (prefetched, store-served, or
+    computed); this reads reports out of the process cache by memo key and
+    aggregates.  Shared by :func:`sweep_grid` and the shard ``merge`` so
+    both produce artifacts from literally the same code path.
     """
     synth_specs = specs_by_workload_name(plan.suite)
+    names = plan.suite.names
     rows: List[SweepRow] = []
     summaries: List[SweepSummary] = []
-    for context, point in zip(plan.contexts, plan.points):
+    for index, point in enumerate(plan.points):
         point_rows: List[SweepRow] = []
-        for name in context.workload_names:
-            reports = context.reports(name)
-            naive = reports[context.naive_name]
-            prescient = reports[context.prescient_name]
-            overbooking = reports[context.overbooking_name]
+        overbooking_name = AcceleratorVariant.overbooking(
+            overbooking_target=point.overbooking_target).name
+        cells = plan.requests[index * len(names):(index + 1) * len(names)]
+        for request in cells:
+            name = request.workload
+            reports = CACHE.evaluate(request.memo_key, plan.suite)
+            naive = reports[VARIANT_NAIVE]
+            prescient = reports[VARIANT_PRESCIENT]
+            overbooking = reports[overbooking_name]
             spec = synth_specs.get(name)
             point_rows.append(SweepRow(
                 overbooking_target=point.overbooking_target,

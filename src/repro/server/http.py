@@ -70,21 +70,35 @@ class RequestError(ValueError):
     """A client request that cannot be served (HTTP 400)."""
 
 
+#: What planning raises on a body it cannot serve — a bad value, an unknown
+#: name, a wrong JSON type.  Raised before a stream starts, each is a 400.
+_PLANNING_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def _list_field(body: dict, key: str, default=None) -> Optional[list]:
+    """``body[key]`` (or ``default``); a set value must be a JSON list."""
+    value = body.get(key, default)
+    if value is not None and not isinstance(value, list):
+        raise RequestError(f"{key!r} must be a JSON list, got "
+                           f"{type(value).__name__}")
+    return value
+
+
 def _suite_from_body(body: dict):
     """Resolve the request's suite: synth specs or a named built-in.
 
     Corpus matrices (``--matrix``) are CLI-only: they name *server-local*
     files, which a multi-tenant endpoint must not dereference.
     """
-    synth = body.get("synth")
+    synth = _list_field(body, "synth")
     if synth:
         try:
-            return synth_suite([parse_synth_spec(spec) for spec in synth])
-        except (ValueError, KeyError) as error:
+            return synth_suite([parse_synth_spec(str(spec)) for spec in synth])
+        except (KeyError, ValueError) as error:
             raise RequestError(f"bad synth spec: {error}") from error
     name = body.get("suite", "quick")
     suites = {"full": default_suite, "quick": small_suite}
-    if name not in suites:
+    if not isinstance(name, str) or name not in suites:
         raise RequestError(f"unknown suite {name!r} (known: full, quick)")
     return suites[name]()
 
@@ -92,11 +106,13 @@ def _suite_from_body(body: dict):
 def _grid_kwargs_from_body(body: dict) -> dict:
     """The ``plan_grid`` axes of a ``/sweep`` body (CLI-flag defaults)."""
     return {
-        "y_values": [float(y) for y in body.get("y", [0.05, 0.10, 0.22])],
-        "glb_scales": [float(s) for s in body.get("glb_scales", [1.0])],
-        "pe_scales": [float(s) for s in body.get("pe_scales", [1.0])],
-        "kernels": [str(k) for k in body.get("kernels", ["gram"])],
-        "workloads": body.get("workloads"),
+        "y_values": [float(y) for y in
+                     _list_field(body, "y", [0.05, 0.10, 0.22])],
+        "glb_scales": [float(s) for s in
+                       _list_field(body, "glb_scales", [1.0])],
+        "pe_scales": [float(s) for s in _list_field(body, "pe_scales", [1.0])],
+        "kernels": [str(k) for k in _list_field(body, "kernels", ["gram"])],
+        "workloads": _list_field(body, "workloads"),
     }
 
 
@@ -138,6 +154,7 @@ class _Handler(BaseHTTPRequestHandler):
     # stdlib server offers no helper, and each event must reach the client
     # as soon as it happens).
     def _begin_stream(self) -> None:
+        self._streaming = True
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
@@ -176,14 +193,14 @@ class _Handler(BaseHTTPRequestHandler):
         if handler is None:
             self._send_json({"error": f"unknown path {self.path}"}, 404)
             return
+        self._streaming = False
         try:
-            body = self._read_body()
-        except RequestError as error:
-            self._send_json({"error": str(error)}, 400)
-            return
-        try:
-            handler(body)
-        except RequestError as error:
+            handler(self._read_body())
+        except _PLANNING_ERRORS as error:
+            if self._streaming:
+                raise
+            if isinstance(error, KeyError) and error.args:
+                error = error.args[0]  # str(KeyError) adds quotes
             self._send_json({"error": str(error)}, 400)
         except ServiceClosed:
             self._send_json({"error": "server is shutting down"}, 503)
@@ -192,11 +209,7 @@ class _Handler(BaseHTTPRequestHandler):
     # Endpoints
     # ------------------------------------------------------------------ #
     def _handle_sweep(self, body: dict) -> None:
-        suite = _suite_from_body(body)
-        try:
-            plan = plan_grid(suite, **_grid_kwargs_from_body(body))
-        except ValueError as error:
-            raise RequestError(str(error)) from error
+        plan = plan_grid(_suite_from_body(body), **_grid_kwargs_from_body(body))
 
         store = self.service.store
         if store is not None:
@@ -231,14 +244,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._end_stream()
 
     def _handle_run(self, body: dict) -> None:
-        names = body.get("experiments") or []
+        names = _list_field(body, "experiments") or []
         if not names:
             raise RequestError("name at least one experiment "
                                "(\"experiments\": [...])")
-        try:
-            selected = [registry.get(name) for name in names]
-        except KeyError as error:
-            raise RequestError(str(error.args[0])) from error
+        selected = [registry.get(name) for name in names]
 
         suite_name = body.get("suite", "quick")
         if suite_name not in ("full", "quick"):
@@ -307,33 +317,28 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_search(self, body: dict) -> None:
         suite = _suite_from_body(body)
-        constraints = body.get("constraints")
+        constraints = _list_field(body, "constraints")
         if constraints is not None:
-            try:
-                constraints = [parse_constraint(text) for text in constraints]
-            except ValueError as error:
-                raise RequestError(str(error)) from error
-        try:
-            # Runs in this handler thread: generations cannot be coalesced,
-            # but sharing the service's store (and the process memo) still
-            # dedups against everything the fleet has evaluated.
-            result = search_frontier(
-                suite,
-                kernels=[str(k) for k in body.get("kernels", ["gram"])],
-                y_values=[float(v) for v in body.get("y", [0.05, 0.10, 0.22])],
-                glb_scales=[float(s) for s in
-                            body.get("glb_scales", [0.5, 1.0, 2.0])],
-                pe_scales=[float(s) for s in
-                           body.get("pe_scales", [0.5, 1.0, 2.0])],
-                max_generations=int(body.get("generations", 3)),
-                workloads=body.get("workloads"),
-                max_workers=self.service.scheduler.max_workers,
-                store=self.service.store,
-                use_surrogate=bool(body.get("surrogate", True)),
-                constraints=constraints,
-            )
-        except ValueError as error:
-            raise RequestError(str(error)) from error
+            constraints = [parse_constraint(text) for text in constraints]
+        # Runs in this handler thread: generations cannot be coalesced, but
+        # sharing the service's store (and the process cache) still dedups
+        # against everything the fleet has evaluated.
+        result = search_frontier(
+            suite,
+            kernels=[str(k) for k in _list_field(body, "kernels", ["gram"])],
+            y_values=[float(v) for v in
+                      _list_field(body, "y", [0.05, 0.10, 0.22])],
+            glb_scales=[float(s) for s in
+                        _list_field(body, "glb_scales", [0.5, 1.0, 2.0])],
+            pe_scales=[float(s) for s in
+                       _list_field(body, "pe_scales", [0.5, 1.0, 2.0])],
+            max_generations=int(body.get("generations", 3)),
+            workloads=_list_field(body, "workloads"),
+            max_workers=self.service.scheduler.max_workers,
+            store=self.service.store,
+            use_surrogate=bool(body.get("surrogate", True)),
+            constraints=constraints,
+        )
         self._begin_stream()
         self._stream_event({"event": "result",
                             "artifact": result.to_jsonable()})

@@ -48,7 +48,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.experiments.runner import memoized_reports
+from repro.experiments.runner import CACHE
 from repro.experiments.scheduler import EvaluationRequest, EvaluationScheduler
 
 #: Default coalescing window in seconds: long enough that a burst of
@@ -344,7 +344,7 @@ class EvaluationService:
         # Cells already warm in the process memo are announced immediately —
         # the scheduler never schedules them, so its hook never fires.
         for key, request in unique.items():
-            if memoized_reports(key) is not None:
+            if key in CACHE.reports:
                 emit_cell(request, None, "memo")
 
         try:

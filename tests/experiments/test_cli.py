@@ -87,6 +87,18 @@ class TestSweep:
             main(["sweep", "--y", "abc"])
         assert "comma-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--glb-scales", "-1"], "must be positive"),
+        (["--pe-scales", ""], "must not be empty"),
+    ])
+    def test_bad_scale_axis_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--suite", "quick", "--no-artifacts", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
+
 
 class TestSynthCli:
     def test_run_with_synth_workloads(self, tmp_path, capsys):

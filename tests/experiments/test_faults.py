@@ -11,8 +11,8 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.experiments import scheduler as scheduler_module
-from repro.experiments.runner import clear_process_caches, memoized_reports
-from repro.experiments.scheduler import EvaluationScheduler, workload_evaluator
+from repro.experiments.runner import CACHE, clear_process_caches
+from repro.experiments.scheduler import EvaluationScheduler
 from repro.experiments.store import ReportStore
 from repro.experiments.sweep import plan_grid, sweep_grid
 from repro.utils import faults
@@ -32,8 +32,7 @@ def store(tmp_path):
 
 
 def _reports_of(request):
-    return workload_evaluator(request).reports(request.architecture,
-                                               request.overbooking_target)
+    return CACHE.evaluate(request.memo_key)
 
 
 class TestTransientStoreFaults:
@@ -159,7 +158,7 @@ class TestBrokenPoolRecovery:
         assert stats.pool_restarts == 1
         assert not stats.degraded_serial
         assert stats.computed == len(requests)
-        assert all(memoized_reports(r.memo_key) is not None for r in requests)
+        assert all(r.memo_key in CACHE.reports for r in requests)
         assert "respawning the pool" in capsys.readouterr().err
 
     def test_second_break_degrades_to_serial(self, test_suite, capsys):
@@ -169,7 +168,7 @@ class TestBrokenPoolRecovery:
                                     min_parallel_requests=2).prefetch(requests)
         assert stats.pool_restarts == 2
         assert stats.degraded_serial
-        assert all(memoized_reports(r.memo_key) is not None for r in requests)
+        assert all(r.memo_key in CACHE.reports for r in requests)
         assert "degrading to serial" in capsys.readouterr().err
 
     def test_no_break_means_no_restarts(self, test_suite):

@@ -11,16 +11,16 @@ import pytest
 
 from repro.accelerator.extensor import AcceleratorVariant, ExTensorModel
 from repro.experiments.runner import (
+    CACHE,
     ExperimentContext,
     clear_process_caches,
-    memoized_reports,
 )
 from repro.experiments.scheduler import (
     EvaluationRequest,
     EvaluationScheduler,
     requests_for_context,
 )
-from repro.experiments.sweep import sweep_grid
+from repro.experiments.sweep import plan_grid, sweep_grid
 from repro.tensor.suite import small_suite, suite_from_token
 
 
@@ -106,7 +106,7 @@ class TestSchedulerBookkeeping:
         assert first.unique == 3
         assert first.computed == 3
         for request in requests:
-            assert memoized_reports(request.memo_key) is not None
+            assert request.memo_key in CACHE.reports
 
         second = scheduler.prefetch(requests)
         assert second.warm == 3
@@ -181,6 +181,24 @@ class TestSweepThroughScheduler:
         capacities = {point.glb_capacity_words for point in result.points}
         assert len(capacities) == 2
         assert result.suite_workloads == ["tiny-fem"]
+
+    @pytest.mark.parametrize("axes, message", [
+        ({"glb_scales": ()}, "glb_scales must not be empty"),
+        ({"pe_scales": ()}, "pe_scales must not be empty"),
+        ({"glb_scales": (-1.0,)}, "glb_scales must be positive"),
+        ({"pe_scales": (1.0, 0.0)}, "pe_scales must be positive"),
+    ])
+    def test_plan_rejects_empty_or_nonpositive_scales(self, axes, message):
+        with pytest.raises(ValueError, match=message):
+            plan_grid(small_suite(), **axes)
+
+    def test_plan_rejects_unknown_kernel_and_custom_suite(self):
+        with pytest.raises(KeyError, match="unknown kernel"):
+            plan_grid(small_suite(), kernels=["nope"])
+        suite = small_suite()
+        custom = type(suite)([suite.spec("tiny-fem")], seed=7)
+        with pytest.raises(ValueError, match="cache token"):
+            plan_grid(custom)
 
     def test_summary_at_unknown_point_raises(self):
         result = sweep_grid(small_suite(), y_values=(0.10,), max_workers=1,

@@ -12,9 +12,9 @@ import pytest
 
 from repro.accelerator.extensor import AcceleratorVariant, ExTensorModel
 from repro.experiments.runner import (
+    CACHE,
     ExperimentContext,
     clear_process_caches,
-    store_memoized_reports,
 )
 from repro.experiments.sweep import plan_grid, sweep_grid
 from repro.tensor.suite import small_suite
@@ -50,9 +50,8 @@ def _fill_memo_from_engine():
             AcceleratorVariant.overbooking(
                 overbooking_target=request.overbooking_target),
         ])
-        store_memoized_reports(
-            request.memo_key,
-            model.evaluate_workload(context.workload(request.workload)))
+        CACHE.reports[request.memo_key] = model.evaluate_workload(
+            context.workload(request.workload))
 
 
 def test_batched_sweep_artifacts_byte_identical(tmp_path):

@@ -205,6 +205,37 @@ class TestHTTPEndpoints:
         with pytest.raises(Exception, match="404|unknown"):
             client._json("GET", "/nonesuch")
 
+    @pytest.mark.parametrize("path, body, message", [
+        ("/sweep", {"y": 5}, "'y' must be a JSON list"),
+        ("/sweep", {"workloads": 3}, "'workloads' must be a JSON list"),
+        ("/sweep", {"kernels": ["nope"]}, "unknown kernel 'nope'"),
+        ("/sweep", {"workloads": ["nope"]}, "unknown workloads"),
+        ("/sweep", {"glb_scales": [-1.0]}, "glb_scales must be positive"),
+        ("/sweep", {"pe_scales": []}, "pe_scales must not be empty"),
+        ("/run", {"experiments": ["fig7"], "overbooking_target": "abc"},
+         "could not convert"),
+        ("/run", {"experiments": ["fig7"], "kernel": "nope"},
+         "unknown kernel 'nope'"),
+        ("/run", {"experiments": "fig7"}, "'experiments' must be a JSON list"),
+        ("/search", {"constraints": "traffic<=1"},
+         "'constraints' must be a JSON list"),
+    ])
+    def test_malformed_body_gets_a_json_400(self, live_server, path, body,
+                                            message):
+        """No dropped connection, no 200, no per-character iteration."""
+        client, _store = live_server
+        connection = http.client.HTTPConnection(client.host, client.port,
+                                                timeout=60)
+        try:
+            connection.request("POST", path, body=json.dumps(body).encode(),
+                               headers={"Connection": "close"})
+            response = connection.getresponse()
+            assert response.status == 400
+            assert response.getheader("Content-Type") == "application/json"
+            assert message in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+
     def test_unknown_experiment_is_a_request_error(self, live_server):
         client, _store = live_server
         with pytest.raises(Exception, match="nonesuch|unknown"):

@@ -128,16 +128,15 @@ class TestBulkPathBuildsNoTiles:
                 tiling.buffer_utilization(capacity)
 
     def test_engine_pipeline_never_constructs_tiles(self, monkeypatch):
-        from repro.experiments import runner as runner_mod
-        from repro.experiments.runner import ExperimentContext
+        from repro.experiments.runner import CACHE, ExperimentContext
 
         def _boom(*args, **kwargs):
             raise AssertionError("evaluation pipeline constructed a Tile")
 
         monkeypatch.setattr(tiling_base, "Tile", _boom)
         context = ExperimentContext.quick()
-        # Defeat the process-wide memo layers so the engine really evaluates.
-        runner_mod._REPORT_MEMO.clear()
+        # Empty the process cache so the pipeline really evaluates.
+        CACHE.clear()
         name = context.workload_names[0]
         context.matrix(name).memo.clear()
         reports = context.reports(name)
