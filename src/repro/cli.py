@@ -62,14 +62,14 @@ Subcommands
     their receipts (quarantining corruption), and ``corpus gc`` reclaims the
     re-fetchable tiers (downloads, quarantine).
 
-``run``, ``sweep`` and ``search`` take a kernel axis (``--kernel``; Gram
-SpMSpM, general SpMSpM, SpMM, SpMV, SDDMM — see :mod:`repro.tensor.kernels`),
-can evaluate real MatrixMarket corpora (``--matrix path.mtx[.gz]``,
-repeatable), corpus-managed real datasets (``--corpus
-dataset:group/name,...`` with ``--corpus-manifest``/``--corpus-cache``; see
-:mod:`repro.tensor.corpus`) or seeded sparsity-model workloads (``--synth
-model:param=value,...``, repeatable; see :mod:`repro.tensor.synth`) instead
-of the built-in suites, and accept ``--store DIR`` to serve/persist
+``run``, ``sweep``, ``merge``, ``status`` and ``search`` turn their flags
+into one request of :mod:`repro.experiments.schema` (the daemon decodes its
+JSON bodies into the same dataclasses): a kernel axis (``--kernel``; see
+:mod:`repro.tensor.kernels`) over a built-in suite, MatrixMarket files
+(``--matrix``), corpus-managed datasets (``--corpus``; see
+:mod:`repro.tensor.corpus`) or sparsity models (``--synth``; see
+:mod:`repro.tensor.synth`).  A value the schema refuses prints one
+``error:`` line and exits 2.  ``--store DIR`` serves and persists
 evaluations through the on-disk report store.
 
 Examples (the full reference with sample output lives in ``docs/CLI.md``)::
@@ -110,18 +110,21 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional
 
 from repro.experiments import registry
-from repro.experiments.runner import ExperimentContext
 from repro.experiments.scheduler import EvaluationScheduler
-from repro.experiments.search import (
-    DEFAULT_SURROGATE_BUDGET,
-    format_frontier,
-    search_frontier,
+from repro.experiments.schema import (
+    GridRequest,
+    RequestError,
+    RunRequest,
+    SearchRequest,
+    artifact_payload,
+    plan_run,
 )
-from repro.experiments.surrogate import parse_constraint
+from repro.experiments.search import format_frontier, search_frontier
 from repro.experiments.shard import (
     DEFAULT_LEASE_TTL,
     format_shard_stats,
@@ -136,15 +139,17 @@ from repro.experiments.store import (
     format_stats,
     format_verify,
 )
-from repro.experiments.sweep import check_scales, format_summaries, sweep_grid
+from repro.experiments.sweep import format_summaries, sweep_grid
 from repro.server.service import DEFAULT_BATCH_WINDOW as SERVER_DEFAULT_BATCH_WINDOW
 from repro.tensor import corpus as corpus_manager
 from repro.tensor.kernels import kernel_names
-from repro.tensor.suite import corpus_suite, default_suite, small_suite, synth_suite
-from repro.tensor.synth import model_names, parse_synth_spec
+from repro.tensor.synth import model_names
 from repro.utils.text import format_table
 
 
+# --------------------------------------------------------------------- #
+# Surface syntax: argparse splits lists; the schema checks every value.
+# --------------------------------------------------------------------- #
 def _parse_floats(text: str) -> List[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip()]
@@ -153,74 +158,27 @@ def _parse_floats(text: str) -> List[float]:
             f"expected a comma-separated list of numbers, got {text!r}") from None
 
 
-def _parse_scales(text: str) -> List[float]:
-    scales = _parse_floats(text)
-    try:
-        check_scales("scales", scales)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return scales
+def _parse_names(text: str) -> List[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _parse_kernels(text: str) -> List[str]:
-    kernels = [part.strip() for part in text.split(",") if part.strip()]
-    unknown = [k for k in kernels if k not in kernel_names()]
-    if unknown or not kernels:
-        raise argparse.ArgumentTypeError(
-            f"unknown kernel(s) {unknown or text!r}; "
-            f"known: {', '.join(kernel_names())}")
-    return kernels
+def _shown(value) -> str:
+    """A schema default spelled the way its flag takes it."""
+    if isinstance(value, tuple):
+        return ",".join(_shown(item) for item in value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
-def _parse_synth(text: str):
-    try:
-        return parse_synth_spec(text)
-    except (KeyError, ValueError) as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+def _request(cls, args: argparse.Namespace):
+    """The ``cls`` request of the parsed flags.
 
-
-def _parse_constraint(text: str) -> str:
-    try:
-        return parse_constraint(text).label
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-
-
-def _parse_corpus(text: str) -> List[str]:
-    try:
-        return corpus_manager.parse_corpus_ids(text)
-    except corpus_manager.CorpusError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-
-
-def _apply_corpus_cache(args: argparse.Namespace) -> None:
-    """Export ``--corpus-cache`` so this process *and* forked scheduler
-    workers resolve the same on-disk matrix cache."""
-    if getattr(args, "corpus_cache", None) is not None:
-        os.environ[corpus_manager.ENV_CACHE] = str(args.corpus_cache)
-
-
-def _suite_for(args: argparse.Namespace):
-    """The workload suite for ``run``/``sweep``: synth specs, corpus IDs,
-    MatrixMarket files or a built-in."""
-    if getattr(args, "synth", None):
-        return synth_suite(args.synth)
-    if getattr(args, "corpus", None):
-        _apply_corpus_cache(args)
-        ids = [entry for group in args.corpus for entry in group]
-        return corpus_manager.corpus_workload_suite(
-            ids, manifest=getattr(args, "corpus_manifest", None))
-    if args.matrix:
-        return corpus_suite([str(path) for path in args.matrix])
-    return {"full": default_suite, "quick": small_suite}[args.suite]()
-
-
-def _suite_label(args: argparse.Namespace) -> str:
-    if getattr(args, "synth", None):
-        return "synth"
-    if getattr(args, "corpus", None) or args.matrix:
-        return "corpus"
-    return args.suite
+    Each schema field is the ``dest`` of one flag; a flag left unset
+    (``None``) keeps the schema's default.
+    """
+    values = {spec.name: getattr(args, spec.name, None)
+              for spec in fields(cls)}
+    return cls(**{name: value for name, value in values.items()
+                  if value is not None})
 
 
 def _store_for(args: argparse.Namespace) -> Optional[ReportStore]:
@@ -240,14 +198,8 @@ def _add_store_argument(parser: argparse.ArgumentParser, *,
 
 
 def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
-    """The corpus-selection flags shared by ``run``, ``sweep`` and ``search``."""
-    parser.add_argument("--corpus", action="append", type=_parse_corpus,
-                        default=None, metavar="DATASET:GROUP/NAME,...",
-                        help="evaluate corpus-managed real matrices (DLMC / "
-                             "SuiteSparse; comma-separated IDs with a sticky "
-                             "dataset prefix, repeatable; overrides --suite "
-                             "and --matrix; see docs/CORPUS.md)")
-    parser.add_argument("--corpus-manifest", type=Path, default=None,
+    """The catalog and cache flags of every corpus-reading subcommand."""
+    parser.add_argument("--corpus-manifest", default=None,
                         metavar="MANIFEST.json",
                         help="descriptor manifest overlaying the built-in "
                              "DLMC/SuiteSparse catalogs (pinned checksums, "
@@ -259,53 +211,82 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
                              "~/.cache/repro/corpus)")
 
 
-def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
-    """The grid-shaping flags shared by ``sweep``, ``merge`` and ``status``.
+def _add_suite_arguments(parser: argparse.ArgumentParser, cls) -> None:
+    """The workload-selection flags of a
+    :class:`~repro.experiments.schema.SuiteSpec`."""
+    parser.add_argument("--suite", default=None,
+                        help=f"workload suite: full or quick "
+                             f"(default: {cls.suite})")
+    parser.add_argument("--matrix", action="append", default=None,
+                        metavar="PATH.mtx[.gz]",
+                        help="evaluate real MatrixMarket matrices instead of "
+                             "a built-in suite (repeatable; overrides "
+                             "--suite)")
+    parser.add_argument("--synth", action="append", default=None,
+                        metavar="MODEL[:K=V,...]",
+                        help="evaluate seeded sparsity-model workloads — the "
+                             "model/params columns land in the artifacts "
+                             "(repeatable; overrides --suite and --matrix; "
+                             f"models: {', '.join(model_names())})")
+    parser.add_argument("--corpus", action="append", default=None,
+                        metavar="DATASET:GROUP/NAME,...",
+                        help="evaluate corpus-managed real matrices (DLMC / "
+                             "SuiteSparse; comma-separated IDs with a sticky "
+                             "dataset prefix, repeatable; overrides --suite "
+                             "and --matrix; see docs/CORPUS.md)")
+    _add_corpus_arguments(parser)
 
-    All three must agree on them — they define the grid's identity (its
-    manifest signature), so a cooperative sweep's workers and its merge are
-    launched with the same flags.
+
+def _add_output_arguments(parser: argparse.ArgumentParser, *,
+                          workers: bool = True,
+                          force: Optional[str] = None) -> None:
+    """``--workers`` and the artifact flags of the evaluating subcommands;
+    ``force`` names the outputs ``--force`` may overwrite."""
+    if workers:
+        parser.add_argument("--workers", type=int, default=None, metavar="N",
+                            help="worker processes for the evaluation "
+                                 "scheduler (default: CPU count; 1 = serial)")
+    parser.add_argument("--output-dir", type=Path, default=Path("artifacts"),
+                        metavar="DIR",
+                        help="artifact directory (default: artifacts/)")
+    parser.add_argument("--no-artifacts", action="store_true",
+                        help="print results only, write nothing")
+    if force is not None:
+        parser.add_argument("--force", action="store_true",
+                            help=f"overwrite existing {force} outputs "
+                                 "(without this, an existing output path "
+                                 "is an error)")
+
+
+def _add_grid_arguments(parser: argparse.ArgumentParser, cls) -> None:
+    """The grid flags of ``sweep``, ``merge`` and ``status`` (a
+    :class:`~repro.experiments.schema.GridRequest`) and ``search`` (whose
+    :class:`~repro.experiments.schema.SearchRequest` seeds its axes).
+
+    ``sweep``, ``merge`` and ``status`` must agree on them — they define the
+    grid's identity (its manifest signature), so a cooperative sweep's
+    workers and its merge are launched with the same flags.
     """
-    parser.add_argument("--y", type=_parse_floats, default=[0.05, 0.10, 0.22],
+    parser.add_argument("--y", type=_parse_floats, default=None,
                         metavar="Y1,Y2,...",
-                        help="overbooking targets (default: 0.05,0.10,0.22)")
-    parser.add_argument("--glb-scales", type=_parse_scales, default=[1.0],
+                        help=f"overbooking targets (default: {_shown(cls.y)})")
+    parser.add_argument("--glb-scales", type=_parse_floats, default=None,
                         metavar="S1,S2,...",
-                        help="GLB capacity scaling factors (default: 1.0)")
-    parser.add_argument("--pe-scales", type=_parse_scales, default=[1.0],
+                        help="GLB capacity scaling factors "
+                             f"(default: {_shown(cls.glb_scales)})")
+    parser.add_argument("--pe-scales", type=_parse_floats, default=None,
                         metavar="S1,S2,...",
-                        help="PE buffer scaling factors (default: 1.0)")
-    parser.add_argument("--kernel", type=_parse_kernels, default=["gram"],
+                        help="PE buffer scaling factors "
+                             f"(default: {_shown(cls.pe_scales)})")
+    parser.add_argument("--kernel", type=_parse_names, default=None,
                         metavar="K1,K2,...", dest="kernels",
                         help="kernel grid dimension (comma-separated; "
                              f"known: {', '.join(kernel_names())}; "
-                             "default: gram)")
-    parser.add_argument("--suite", choices=("full", "quick"), default="full",
-                        help="workload suite (default: full)")
-    parser.add_argument("--matrix", action="append", type=Path, default=None,
-                        metavar="PATH.mtx[.gz]",
-                        help="use real MatrixMarket matrices instead of the "
-                             "synthetic suite (repeatable; overrides --suite)")
-    parser.add_argument("--synth", action="append", type=_parse_synth,
-                        default=None, metavar="MODEL[:K=V,...]",
-                        help="use seeded sparsity-model workloads — the "
-                             "model/params columns land in the JSON/CSV "
-                             "(repeatable; overrides --suite and --matrix; "
-                             f"models: {', '.join(model_names())})")
-    _add_corpus_arguments(parser)
-    parser.add_argument("--workloads", default=None, metavar="W1,W2,...",
+                             f"default: {_shown(cls.kernels)})")
+    _add_suite_arguments(parser, cls)
+    parser.add_argument("--workloads", type=_parse_names, default=None,
+                        metavar="W1,W2,...",
                         help="restrict to a comma-separated workload subset")
-
-
-def _grid_kwargs(args: argparse.Namespace) -> dict:
-    """The grid-shaping keyword arguments for sweep/shard/merge/status."""
-    return {
-        "y_values": args.y,
-        "glb_scales": args.glb_scales,
-        "pe_scales": args.pe_scales,
-        "kernels": args.kernels,
-        "workloads": _parse_workload_subset(args),
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,56 +304,33 @@ def build_parser() -> argparse.ArgumentParser:
                      help="experiment names (see 'list'); default with --all")
     run.add_argument("--all", action="store_true", dest="run_all",
                      help="run every registered experiment")
-    run.add_argument("--suite", choices=("full", "quick"), default="full",
-                     help="workload suite (default: full; quick also switches "
-                          "to each experiment's fast parameter set)")
+    _add_suite_arguments(run, RunRequest)
     run.add_argument("--quick", action="store_const", dest="suite",
-                     const="quick", help="shorthand for --suite quick")
-    run.add_argument("--matrix", action="append", type=Path, default=None,
-                     metavar="PATH.mtx[.gz]",
-                     help="evaluate real MatrixMarket matrices instead of the "
-                          "synthetic suite (repeatable; overrides --suite)")
-    run.add_argument("--synth", action="append", type=_parse_synth,
-                     default=None, metavar="MODEL[:K=V,...]",
-                     help="evaluate seeded sparsity-model workloads instead "
-                          "of a built-in suite (repeatable; overrides --suite "
-                          f"and --matrix; models: {', '.join(model_names())})")
-    _add_corpus_arguments(run)
-    run.add_argument("--kernel", choices=kernel_names(), default="gram",
+                     const="quick", help="shorthand for --suite quick (which "
+                                         "also switches to each experiment's "
+                                         "fast parameter set)")
+    run.add_argument("--kernel", default=None,
                      help="kernel to evaluate the workloads under "
-                          "(default: gram, the paper's A x A^T)")
-    run.add_argument("--overbooking-target", type=float, default=0.10,
-                     metavar="Y", help="ExTensor-OB target y (default: 0.10)")
-    run.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="worker processes for the evaluation scheduler "
-                          "(default: CPU count; 1 = serial)")
-    run.add_argument("--no-surrogate", action="store_true",
+                          f"(known: {', '.join(kernel_names())}; default: "
+                          f"{RunRequest.kernel}, the paper's A x A^T)")
+    run.add_argument("--overbooking-target", type=float, default=None,
+                     metavar="Y",
+                     help="ExTensor-OB target y (default: "
+                          f"{_shown(RunRequest.overbooking_target)})")
+    run.add_argument("--no-surrogate", action="store_false", default=None,
+                     dest="surrogate",
                      help="for search-driven experiments (fig14): evaluate "
                           "every candidate exactly instead of surrogate "
                           "ranking (escape hatch)")
-    run.add_argument("--output-dir", type=Path, default=Path("artifacts"),
-                     metavar="DIR",
-                     help="where JSON artifacts are written (default: artifacts/)")
-    run.add_argument("--no-artifacts", action="store_true",
-                     help="print results only, write nothing")
+    _add_output_arguments(run)
     run.add_argument("--quiet", action="store_true",
                      help="suppress experiment text output (artifacts only)")
     _add_store_argument(run)
 
     sweep = subparsers.add_parser(
         "sweep", help="run a y / buffer-scaling grid, write JSON + CSV")
-    _add_grid_arguments(sweep)
-    sweep.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker processes (default: CPU count; 1 = serial)")
-    sweep.add_argument("--output-dir", type=Path, default=Path("artifacts"),
-                       metavar="DIR",
-                       help="artifact directory (default: artifacts/)")
-    sweep.add_argument("--no-artifacts", action="store_true",
-                       help="print the summary only, write nothing")
-    sweep.add_argument("--force", action="store_true",
-                       help="overwrite existing sweep.json/sweep.csv outputs "
-                            "(without this, an existing output path is an "
-                            "error)")
+    _add_grid_arguments(sweep, GridRequest)
+    _add_output_arguments(sweep, force="sweep.json/sweep.csv")
     sweep.add_argument("--resume", action="store_true",
                        help="finish an interrupted sweep: grid cells already "
                             "in the store are not re-evaluated (requires "
@@ -392,87 +350,41 @@ def build_parser() -> argparse.ArgumentParser:
     merge = subparsers.add_parser(
         "merge", help="assemble a completed sharded sweep into sweep.json + "
                       "sweep.csv (byte-identical to a serial sweep)")
-    _add_grid_arguments(merge)
-    merge.add_argument("--output-dir", type=Path, default=Path("artifacts"),
-                       metavar="DIR",
-                       help="artifact directory (default: artifacts/)")
-    merge.add_argument("--no-artifacts", action="store_true",
-                       help="print the summary only, write nothing")
-    merge.add_argument("--force", action="store_true",
-                       help="overwrite existing sweep.json/sweep.csv outputs")
+    _add_grid_arguments(merge, GridRequest)
+    _add_output_arguments(merge, workers=False, force="sweep.json/sweep.csv")
     _add_store_argument(merge, required=True)
 
     status = subparsers.add_parser(
         "status", help="report a sharded sweep's progress (stored / leased / "
                        "missing cells); exits 0 when ready to merge")
-    _add_grid_arguments(status)
+    _add_grid_arguments(status, GridRequest)
     _add_store_argument(status, required=True)
 
     search = subparsers.add_parser(
         "search", help="Pareto design-space search over (y, GLB, PE) "
                        "configurations; writes frontier.json + frontier.csv")
-    search.add_argument("--y", type=_parse_floats, default=[0.05, 0.10, 0.22],
-                        metavar="Y1,Y2,...",
-                        help="seed overbooking-target axis "
-                             "(default: 0.05,0.10,0.22)")
-    search.add_argument("--glb-scales", type=_parse_scales,
-                        default=[0.5, 1.0, 2.0], metavar="S1,S2,...",
-                        help="seed GLB capacity scaling axis "
-                             "(default: 0.5,1.0,2.0)")
-    search.add_argument("--pe-scales", type=_parse_scales,
-                        default=[0.5, 1.0, 2.0], metavar="S1,S2,...",
-                        help="seed PE buffer scaling axis "
-                             "(default: 0.5,1.0,2.0)")
-    search.add_argument("--generations", type=int, default=3, metavar="N",
+    _add_grid_arguments(search, SearchRequest)
+    search.add_argument("--generations", type=int, default=None, metavar="N",
                         help="search generations: the seed grid plus N-1 "
                              "rounds of axis refinement around the frontier "
-                             "(default: 3)")
-    search.add_argument("--kernel", type=_parse_kernels, default=["gram"],
-                        metavar="K1,K2,...", dest="kernels",
-                        help="kernels searched (comma-separated; "
-                             f"known: {', '.join(kernel_names())}; "
-                             "default: gram)")
-    search.add_argument("--suite", choices=("full", "quick"), default="quick",
-                        help="workload suite (default: quick — the full "
-                             "suite times a large design space; use a store)")
-    search.add_argument("--matrix", action="append", type=Path, default=None,
-                        metavar="PATH.mtx[.gz]",
-                        help="search over real MatrixMarket matrices instead "
-                             "of a built-in suite (repeatable)")
-    search.add_argument("--synth", action="append", type=_parse_synth,
-                        default=None, metavar="MODEL[:K=V,...]",
-                        help="search over seeded sparsity-model workloads — "
-                             "the frontier is reported per model (repeatable; "
-                             f"models: {', '.join(model_names())})")
-    _add_corpus_arguments(search)
-    search.add_argument("--workloads", default=None, metavar="W1,W2,...",
-                        help="restrict to a comma-separated workload subset")
-    search.add_argument("--constraint", action="append",
-                        type=_parse_constraint, default=None,
-                        metavar="METRIC<=BOUND",
+                             f"(default: {SearchRequest.generations})")
+    search.add_argument("--constraint", action="append", default=None,
+                        dest="constraints", metavar="METRIC<=BOUND",
                         help="keep only design points satisfying the bound "
                              "(repeatable; metrics: traffic (DRAM words), "
                              "energy (pJ), pe_area (PE buffer words); e.g. "
                              "--constraint 'traffic<=6e4')")
-    search.add_argument("--surrogate-budget", type=float,
-                        default=DEFAULT_SURROGATE_BUDGET, metavar="F",
+    search.add_argument("--surrogate-budget", type=float, default=None,
+                        metavar="F",
                         help="fraction of remaining candidates exactly "
                              "evaluated per surrogate ranking round "
-                             f"(default: {DEFAULT_SURROGATE_BUDGET})")
-    search.add_argument("--no-surrogate", action="store_true",
+                             f"(default: {SearchRequest.surrogate_budget:g})")
+    search.add_argument("--no-surrogate", action="store_false", default=None,
+                        dest="surrogate",
                         help="rank nothing: exactly evaluate every candidate "
                              "in every generation (brute-force reference "
                              "path)")
-    search.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker processes (default: CPU count; "
-                             "1 = serial)")
-    search.add_argument("--output-dir", type=Path, default=Path("artifacts"),
-                        metavar="DIR",
-                        help="artifact directory (default: artifacts/)")
-    search.add_argument("--no-artifacts", action="store_true",
-                        help="print the frontier only, write nothing")
-    search.add_argument("--force", action="store_true",
-                        help="overwrite existing frontier.json/frontier.csv")
+    _add_output_arguments(search, force="frontier.json/frontier.csv")
     _add_store_argument(search)
 
     serve = subparsers.add_parser(
@@ -516,27 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
         "corpus", help="manage the real-world matrix cache (DLMC + "
                        "SuiteSparse; see docs/CORPUS.md)")
     corpus_sub = corpus.add_subparsers(dest="corpus_command", required=True)
-
-    def _corpus_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--corpus-manifest", type=Path, default=None,
-                         metavar="MANIFEST.json",
-                         help="descriptor manifest overlaying the built-in "
-                              "catalogs")
-        sub.add_argument("--corpus-cache", type=Path, default=None,
-                         metavar="DIR",
-                         help="matrix cache root (default: "
-                              f"${corpus_manager.ENV_CACHE} or "
-                              "~/.cache/repro/corpus)")
-
     corpus_list = corpus_sub.add_parser(
         "list", help="list known matrices and their install state")
     corpus_list.add_argument("--dataset", choices=corpus_manager.KNOWN_DATASETS,
                              default=None,
                              help="restrict the listing to one dataset")
-    _corpus_common(corpus_list)
+    _add_corpus_arguments(corpus_list)
     corpus_fetch = corpus_sub.add_parser(
         "fetch", help="download, verify and install matrices into the cache")
-    corpus_fetch.add_argument("ids", nargs="+", type=_parse_corpus,
+    corpus_fetch.add_argument("ids", nargs="+",
                               metavar="DATASET:GROUP/NAME,...",
                               help="matrix IDs (comma-separated, sticky "
                                    "dataset prefix)")
@@ -546,15 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_fetch.add_argument("--offline", action="store_true",
                               help="refuse remote URLs (file:// manifests "
                                    "still work)")
-    _corpus_common(corpus_fetch)
+    _add_corpus_arguments(corpus_fetch)
     corpus_verify = corpus_sub.add_parser(
         "verify", help="re-hash installed matrices against their install "
                        "receipts; corrupt files are quarantined")
-    _corpus_common(corpus_verify)
+    _add_corpus_arguments(corpus_verify)
     corpus_gc = corpus_sub.add_parser(
         "gc", help="reclaim the re-fetchable cache tiers (downloads, "
                    "quarantine); installed matrices are kept")
-    _corpus_common(corpus_gc)
+    _add_corpus_arguments(corpus_gc)
     return parser
 
 
@@ -574,86 +474,16 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.run_all:
-        selected = registry.experiments()
-    elif args.experiments:
-        selected = [registry.get(name) for name in args.experiments]
-    else:
-        print("error: name at least one experiment or pass --all",
-              file=sys.stderr)
-        return 2
-
-    quick = args.suite == "quick"
-    params = {
-        experiment.name: dict(experiment.quick_params) if quick else {}
-        for experiment in selected
-    }
-
-    # The kernel(s) actually reflected in each experiment's results: report
-    # consumers follow --kernel; matrix-direct experiments model a fixed
-    # kernel and cross-kernel tables (table3) always evaluate their whole
-    # declared family, both regardless of the flag (warn so artifacts are
-    # never mislabeled).
-    def effective_kernel(experiment):
-        if not experiment.needs_context or not experiment.kernels:
-            return None
-        if "any" in experiment.kernels:
-            return args.kernel
-        if len(experiment.kernels) > 1:
-            return "all"
-        return experiment.kernels[0]
-
-    for experiment in selected:
-        effective = effective_kernel(experiment)
-        if (experiment.needs_context and args.kernel != "gram"
-                and effective != args.kernel):
-            pinned = ",".join(experiment.kernels) if experiment.kernels else "no"
-            print(f"[warning] {experiment.name} is pinned to kernel(s) "
-                  f"{pinned}; --kernel {args.kernel} does not apply to it",
-                  file=sys.stderr)
-        if ((args.synth or args.matrix or args.corpus)
-                and experiment.needs_context
-                and not experiment.uses_context_suite):
-            flag = ("--synth" if args.synth
-                    else "--corpus" if args.corpus else "--matrix")
-            print(f"[warning] {experiment.name} evaluates its own workload "
-                  f"set; {flag} does not apply to it (only the architecture, "
-                  f"overbooking target and seed carry over)", file=sys.stderr)
-        # Experiments that schedule their own evaluations take the worker
-        # budget as a parameter; thread --workers through so it is honored.
-        if experiment.accepts_max_workers and args.workers is not None:
-            params[experiment.name].setdefault("max_workers", args.workers)
-        if experiment.accepts_use_surrogate and args.no_surrogate:
-            params[experiment.name].setdefault("use_surrogate", False)
-        # Corpus-evaluating experiments (table5) resolve dataset IDs through
-        # a manifest; thread --corpus-manifest so private mirrors and the
-        # offline fixtures reach them.
-        if experiment.accepts_param("manifest") and args.corpus_manifest:
-            params[experiment.name]["manifest"] = str(args.corpus_manifest)
+    request = _request(RunRequest, args)
     store = _store_for(args)
-    if store is not None:
-        for experiment in selected:
-            # Same for the report store: self-scheduling experiments with a
-            # "reports" store scope take it as a parameter.
-            if experiment.accepts_store and experiment.store_scope == "reports":
-                params[experiment.name].setdefault("store", store)
-    _apply_corpus_cache(args)
-    context = None
-    if any(experiment.needs_context for experiment in selected):
-        if args.matrix or args.synth or args.corpus:
-            context = ExperimentContext(
-                suite=_suite_for(args),
-                overbooking_target=args.overbooking_target,
-                kernel=args.kernel)
-        else:
-            context = ExperimentContext.for_suite(
-                args.suite, overbooking_target=args.overbooking_target,
-                kernel=args.kernel)
+    plan = plan_run(request, store=store, max_workers=args.workers)
+    for warning in plan.warnings:
+        print(f"[warning] {warning}", file=sys.stderr)
 
     scheduler = EvaluationScheduler(max_workers=args.workers, store=store)
     start = time.perf_counter()
-    if context is not None:
-        stats = scheduler.prefetch_experiments(context, selected, params)
+    if plan.context is not None:
+        stats = scheduler.prefetch(plan.evaluation_requests())
         if stats.computed:
             store_note = (f", {stats.store_hits} from the store"
                           if stats.store_hits else "")
@@ -674,32 +504,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         output_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = []
-    for experiment in selected:
+    for experiment in plan.experiments:
         run_start = time.perf_counter()
-        result = experiment.run(context if experiment.needs_context else None,
-                                **params[experiment.name])
+        result = plan.run(experiment)
         elapsed = time.perf_counter() - run_start
         if not args.quiet:
             print(experiment.format_result(result))
             print()
         if output_dir is not None:
             artifact_path = output_dir / f"{experiment.name}.json"
-            payload = {
-                "experiment": experiment.name,
-                "artifact": experiment.artifact,
-                "title": experiment.title,
-                "suite": (_suite_label(args)
-                          if experiment.needs_context else None),
-                "kernel": effective_kernel(experiment),
-                "overbooking_target": (args.overbooking_target
-                                       if experiment.needs_context else None),
-                # The store parameter is a live handle; record its path.
-                "params": {key: (str(value.root)
-                                 if isinstance(value, ReportStore) else value)
-                           for key, value in params[experiment.name].items()},
-                "seconds": round(elapsed, 4),
-                "result": experiment.to_json(result),
-            }
+            payload = artifact_payload(plan, experiment, result,
+                                       seconds=round(elapsed, 4))
             artifact_path.write_text(json.dumps(payload, indent=2) + "\n")
             manifest.append({"experiment": experiment.name,
                              "artifact": experiment.artifact,
@@ -711,8 +526,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if output_dir is not None:
         manifest_path = output_dir / "manifest.json"
         manifest_path.write_text(json.dumps({
-            "suite": _suite_label(args),
-            "overbooking_target": args.overbooking_target,
+            "suite": request.label,
+            "overbooking_target": request.overbooking_target,
             "total_seconds": round(time.perf_counter() - start, 4),
             "experiments": manifest,
         }, indent=2) + "\n")
@@ -721,63 +536,60 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_workload_subset(args: argparse.Namespace) -> Optional[List[str]]:
-    if not args.workloads:
-        return None
-    return [name.strip() for name in args.workloads.split(",") if name.strip()]
-
-
-def _check_outputs_writable(args: argparse.Namespace,
-                            filenames: List[str]) -> Optional[str]:
-    """Refuse-before-computing: the path that would be clobbered, or None."""
-    overwrite_ok = args.force or getattr(args, "resume", False)
-    if args.no_artifacts or overwrite_ok:
-        return None
-    for filename in filenames:
-        path = args.output_dir / filename
+def _refuse_clobber(args: argparse.Namespace, stem: str,
+                    hint: str = "") -> None:
+    """Refuse, before computing, to overwrite ``stem.json``/``stem.csv``
+    without ``--force`` (or ``--resume``)."""
+    if args.no_artifacts or args.force or getattr(args, "resume", False):
+        return
+    for path in (args.output_dir / f"{stem}.json",
+                 args.output_dir / f"{stem}.csv"):
         if path.exists():
-            return str(path)
-    return None
+            raise RequestError(f"{path} already exists; pass --force to "
+                               f"overwrite{hint}")
+
+
+def _write_outputs(args: argparse.Namespace, result, stem: str, *,
+                   force: bool) -> None:
+    """Write ``result`` as ``stem.json`` + ``stem.csv`` unless
+    ``--no-artifacts``."""
+    if args.no_artifacts:
+        return
+    args.output_dir.mkdir(parents=True, exist_ok=True)
+    json_path = result.write_json(args.output_dir / f"{stem}.json",
+                                  force=force)
+    csv_path = result.write_csv(args.output_dir / f"{stem}.csv", force=force)
+    print(f"wrote {json_path} and {csv_path}", file=sys.stderr)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    request = _request(GridRequest, args)
     if args.resume and args.store is None:
-        print("error: --resume requires --store (there is nothing to resume "
-              "from without a persistent store)", file=sys.stderr)
-        return 2
+        raise RequestError("--resume requires --store (there is nothing to "
+                           "resume from without a persistent store)")
     if args.shard is not None:
         if args.store is None:
-            print("error: --shard requires --store (the store is the "
-                  "coordination substrate the workers share)",
-                  file=sys.stderr)
-            return 2
+            raise RequestError("--shard requires --store (the store is the "
+                               "coordination substrate the workers share)")
         start = time.perf_counter()
         stats = run_shard(
-            _suite_for(args),
+            request.build(),
             shard=args.shard,
             store=_store_for(args),
             lease_ttl=args.lease_ttl,
-            **_grid_kwargs(args),
+            **request.grid_args(),
         )
         print(format_shard_stats(stats), file=sys.stderr)
         print(f"shard worker finished in "
               f"{time.perf_counter() - start:.2f}s", file=sys.stderr)
         return 0
-    clobbered = _check_outputs_writable(args, ["sweep.json", "sweep.csv"])
-    if clobbered is not None:
-        print(f"error: {clobbered} already exists; pass --force to overwrite "
-              f"it (or --resume to finish an interrupted sweep)",
-              file=sys.stderr)
-        return 2
+    _refuse_clobber(args, "sweep", " it (or --resume to finish an "
+                                   "interrupted sweep)")
 
     start = time.perf_counter()
     result = sweep_grid(
-        _suite_for(args),
-        y_values=args.y,
-        glb_scales=args.glb_scales,
-        pe_scales=args.pe_scales,
-        kernels=args.kernels,
-        workloads=_parse_workload_subset(args),
+        request.build(),
+        **request.grid_args(),
         max_workers=args.workers,
         store=_store_for(args),
         resume=args.resume,
@@ -788,38 +600,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"\nsweep of {len(result.points)} point(s) finished in "
           f"{time.perf_counter() - start:.2f}s{resumed}", file=sys.stderr)
 
-    if not args.no_artifacts:
-        args.output_dir.mkdir(parents=True, exist_ok=True)
-        force = args.force or args.resume
-        json_path = result.write_json(args.output_dir / "sweep.json",
-                                      force=force)
-        csv_path = result.write_csv(args.output_dir / "sweep.csv",
-                                    force=force)
-        print(f"wrote {json_path} and {csv_path}", file=sys.stderr)
+    _write_outputs(args, result, "sweep", force=args.force or args.resume)
     return 0
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    clobbered = _check_outputs_writable(args, ["frontier.json", "frontier.csv"])
-    if clobbered is not None:
-        print(f"error: {clobbered} already exists; pass --force to overwrite",
-              file=sys.stderr)
-        return 2
+    request = _request(SearchRequest, args)
+    _refuse_clobber(args, "frontier")
 
     start = time.perf_counter()
     result = search_frontier(
-        _suite_for(args),
-        kernels=args.kernels,
-        y_values=args.y,
-        glb_scales=args.glb_scales,
-        pe_scales=args.pe_scales,
-        max_generations=args.generations,
-        workloads=_parse_workload_subset(args),
+        request.build(),
+        **request.search_args(),
         max_workers=args.workers,
         store=_store_for(args),
-        use_surrogate=not args.no_surrogate,
-        surrogate_budget=args.surrogate_budget,
-        constraints=args.constraint,
     )
     print(format_frontier(result))
     pruned = sum(stats.pruned_configs for stats in result.generations)
@@ -828,49 +622,34 @@ def _cmd_search(args: argparse.Namespace) -> int:
           f"{len(result.generations)} generation(s){pruned_note} in "
           f"{time.perf_counter() - start:.2f}s", file=sys.stderr)
 
-    if not args.no_artifacts:
-        args.output_dir.mkdir(parents=True, exist_ok=True)
-        json_path = result.write_json(args.output_dir / "frontier.json",
-                                      force=args.force)
-        csv_path = result.write_csv(args.output_dir / "frontier.csv",
-                                    force=args.force)
-        print(f"wrote {json_path} and {csv_path}", file=sys.stderr)
+    _write_outputs(args, result, "frontier", force=args.force)
     return 0
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    args.resume = False  # _check_outputs_writable probes it
-    clobbered = _check_outputs_writable(args, ["sweep.json", "sweep.csv"])
-    if clobbered is not None:
-        print(f"error: {clobbered} already exists; pass --force to overwrite",
-              file=sys.stderr)
-        return 2
+    request = _request(GridRequest, args)
+    _refuse_clobber(args, "sweep")
 
     start = time.perf_counter()
     result = merge_shards(
-        _suite_for(args),
+        request.build(),
         store=ReportStore(args.store, create=False),
-        **_grid_kwargs(args),
+        **request.grid_args(),
     )
     print(format_summaries(result))
     print(f"\nmerged {len(result.points)} point(s) from the store in "
           f"{time.perf_counter() - start:.2f}s", file=sys.stderr)
 
-    if not args.no_artifacts:
-        args.output_dir.mkdir(parents=True, exist_ok=True)
-        json_path = result.write_json(args.output_dir / "sweep.json",
-                                      force=args.force)
-        csv_path = result.write_csv(args.output_dir / "sweep.csv",
-                                    force=args.force)
-        print(f"wrote {json_path} and {csv_path}", file=sys.stderr)
+    _write_outputs(args, result, "sweep", force=args.force)
     return 0
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
+    request = _request(GridRequest, args)
     status = shard_status(
-        _suite_for(args),
+        request.build(),
         store=ReportStore(args.store, create=False),
-        **_grid_kwargs(args),
+        **request.grid_args(),
     )
     print(format_status(status))
     return 0 if status.complete else 1
@@ -921,7 +700,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    _apply_corpus_cache(args)
     cache = corpus_manager.CorpusCache(args.corpus_cache)
     catalog = corpus_manager.resolve_catalog(args.corpus_manifest)
 
@@ -939,7 +717,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
                                        f"matrices; cache: {cache.root})"))
         return 0
     if args.corpus_command == "fetch":
-        ids = [entry for group in args.ids for entry in group]
+        ids = [matrix_id for text in args.ids
+               for matrix_id in corpus_manager.parse_corpus_ids(text)]
         failures = 0
         for matrix_id in ids:
             descriptor = catalog.get(matrix_id)
@@ -971,20 +750,19 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "corpus_cache", None) is not None:
+        # Exported, so forked scheduler workers resolve the same cache.
+        os.environ[corpus_manager.ENV_CACHE] = str(args.corpus_cache)
     handlers = {"list": _cmd_list, "run": _cmd_run, "sweep": _cmd_sweep,
                 "merge": _cmd_merge, "status": _cmd_status,
                 "search": _cmd_search, "serve": _cmd_serve,
                 "store": _cmd_store, "corpus": _cmd_corpus}
     try:
         return handlers[args.command](args)
-    except StoreError as error:
-        # Schema mismatches, corrupt entries, missing stores: user-facing
-        # conditions with actionable messages, not tracebacks.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except corpus_manager.CorpusError as error:
-        # Unknown matrix IDs, unreachable mirrors with a cold cache, failed
-        # checksums: likewise user-facing.
+    except (RequestError, StoreError, corpus_manager.CorpusError) as error:
+        # Bad requests, schema mismatches, corrupt or missing stores,
+        # unknown matrix IDs, unreachable mirrors with a cold cache: all
+        # user-facing conditions with actionable messages, not tracebacks.
         print(f"error: {error}", file=sys.stderr)
         return 2
 

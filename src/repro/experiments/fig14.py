@@ -24,6 +24,7 @@ from repro.experiments.registry import register
 from repro.experiments.runner import ExperimentContext
 from repro.experiments.scheduler import EvaluationScheduler
 from repro.experiments.search import (
+    DEFAULT_GENERATIONS,
     DEFAULT_GLB_SCALES,
     DEFAULT_PE_SCALES,
     DEFAULT_Y_VALUES,
@@ -63,7 +64,7 @@ def run(context: ExperimentContext,
         y_values: Sequence[float] = DEFAULT_Y_VALUES,
         glb_scales: Sequence[float] = DEFAULT_GLB_SCALES,
         pe_scales: Sequence[float] = DEFAULT_PE_SCALES,
-        max_generations: int = 3,
+        max_generations: int = DEFAULT_GENERATIONS,
         max_workers: Optional[int] = None,
         store=None,
         use_surrogate: bool = True) -> FrontierResult:

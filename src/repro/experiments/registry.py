@@ -198,12 +198,6 @@ class Experiment:
         return self.accepts_param("store")
 
     @property
-    def accepts_use_surrogate(self) -> bool:
-        """Whether ``run`` takes a ``use_surrogate`` parameter (``fig14``'s
-        generational search) — lets the CLI thread ``--no-surrogate``."""
-        return self.accepts_param("use_surrogate")
-
-    @property
     def kernel_axis(self) -> str:
         """Human-readable kernel applicability (the ``list`` column)."""
         if not self.kernels:
@@ -211,6 +205,17 @@ class Experiment:
         if len(self.kernels) > 1:
             return "all"
         return self.kernels[0]
+
+    def effective_kernel(self, kernel: str) -> Optional[str]:
+        """The kernel(s) this experiment's results reflect when ``kernel``
+        is requested: report consumers follow it, matrix-direct experiments
+        keep their fixed kernel and cross-kernel tables report ``"all"``;
+        ``None`` for experiments without a context."""
+        if not self.needs_context or not self.kernels:
+            return None
+        if "any" in self.kernels:
+            return kernel
+        return self.kernel_axis
 
     def run(self, context=None, **params) -> Any:
         """Run the experiment (``context`` is ignored when not needed)."""

@@ -17,6 +17,7 @@ from repro.model.workload import WorkloadDescriptor
 from repro.tensor.kernels import kernel_spec
 from repro.tensor.sparse import SparseMatrix
 from repro.tensor.suite import (
+    NAMED_SUITES,
     WorkloadSuite,
     clear_shared_matrix_cache,
     default_suite,
@@ -150,13 +151,7 @@ class ExperimentContext:
     @classmethod
     def for_suite(cls, suite_name: str, **kwargs) -> "ExperimentContext":
         """Context over a named canonical suite (``"full"`` or ``"quick"``)."""
-        builders = {"full": cls.full, "quick": cls.quick}
-        try:
-            builder = builders[suite_name]
-        except KeyError:
-            raise KeyError(f"unknown suite {suite_name!r}; "
-                           f"known: {sorted(builders)}") from None
-        return builder(**kwargs)
+        return cls(suite=NAMED_SUITES[suite_name](), **kwargs)
 
     def with_overbooking_target(self, overbooking_target: float) -> "ExperimentContext":
         """A context over the same suite and architecture at a different ``y``.

@@ -404,19 +404,3 @@ class EvaluationScheduler:
     ) -> ScheduleStats:
         """:meth:`prefetch` for one context (default: all suite workloads)."""
         return self.prefetch(requests_for_context(context, targets))
-
-    def prefetch_experiments(self, context: ExperimentContext, experiments,
-                             params: Optional[Dict[str, dict]] = None,
-                             ) -> ScheduleStats:
-        """Prefetch the union of evaluation targets of ``experiments``.
-
-        ``params`` optionally maps experiment name → the keyword arguments the
-        caller will pass to ``run`` (so e.g. a restricted Fig. 10 ``y`` grid
-        announces exactly the evaluations it will perform).
-        """
-        params = params or {}
-        targets = []
-        for experiment in experiments:
-            targets.extend(experiment.evaluation_targets(
-                context, **params.get(experiment.name, {})))
-        return self.prefetch(requests_for_context(context, targets))

@@ -78,21 +78,24 @@ from repro.experiments.surrogate import (
     pe_area_words,
 )
 from repro.experiments.sweep import (
+    DEFAULT_KERNELS,
+    DEFAULT_Y_VALUES,
     _refusing_overwrite,
     _scaled_architecture,
     _store_aware_scheduler,
-    check_scales,
+    check_axes,
     require_token,
 )
 from repro.tensor.kernels import kernel_spec
-from repro.tensor.suite import WorkloadSuite, synth_suite
+from repro.tensor.suite import WorkloadSuite
 from repro.tensor.synth import specs_by_workload_name
 
-#: Seed axes of the default search: the paper's y ladder and halving/doubling
+#: Seed axes of the default search: the sweep's y ladder and halving/doubling
 #: of each buffer level.
-DEFAULT_Y_VALUES = (0.05, 0.10, 0.22)
 DEFAULT_GLB_SCALES = (0.5, 1.0, 2.0)
 DEFAULT_PE_SCALES = (0.5, 1.0, 2.0)
+#: Generations of the default search: the seed grid plus two refinements.
+DEFAULT_GENERATIONS = 3
 
 #: Fraction of a generation's candidates the rank-then-verify loop evaluates
 #: per batch before re-checking what the surrogate can prove about the rest.
@@ -311,13 +314,22 @@ def _merged_schedule(batches: Sequence[ScheduleStats]) -> ScheduleStats:
     )
 
 
-def search_frontier(suite: Optional[WorkloadSuite] = None, *,
-                    synth: Optional[Sequence] = None,
-                    kernels: Sequence[str] = ("gram",),
+def check_search_knobs(max_generations: int, surrogate_budget: float) -> None:
+    """Reject fewer than one generation or a surrogate budget outside (0, 1]
+    (``ValueError``)."""
+    if max_generations < 1:
+        raise ValueError(f"generations must be >= 1, got {max_generations}")
+    if not 0.0 < surrogate_budget <= 1.0:
+        raise ValueError(f"surrogate_budget must be in (0, 1], got "
+                         f"{surrogate_budget!r}")
+
+
+def search_frontier(suite: WorkloadSuite, *,
+                    kernels: Sequence[str] = DEFAULT_KERNELS,
                     y_values: Sequence[float] = DEFAULT_Y_VALUES,
                     glb_scales: Sequence[float] = DEFAULT_GLB_SCALES,
                     pe_scales: Sequence[float] = DEFAULT_PE_SCALES,
-                    max_generations: int = 3,
+                    max_generations: int = DEFAULT_GENERATIONS,
                     max_evaluations: int = 2000,
                     base_architecture: Optional[ArchitectureConfig] = None,
                     workloads: Optional[Sequence[str]] = None,
@@ -330,7 +342,7 @@ def search_frontier(suite: Optional[WorkloadSuite] = None, *,
     """Generationally explore the ``(y, GLB, PE)`` space, keep the frontier.
 
     Parameters mirror :func:`~repro.experiments.sweep.sweep_grid` where they
-    overlap (``suite``/``synth``/``kernels``/``workloads``/``store``); the
+    overlap (``suite``/``kernels``/``workloads``/``store``); the
     search-specific knobs are the seed axes (``y_values``, ``glb_scales``,
     ``pe_scales``), ``max_generations`` (generation 0 is the seed grid; each
     further generation refines the axes around the current frontier and
@@ -366,22 +378,8 @@ def search_frontier(suite: Optional[WorkloadSuite] = None, *,
     computation — so a warm re-search over a covering store replays the
     cold run byte-for-byte with ``computed == 0``.
     """
-    if synth is not None:
-        if suite is not None:
-            raise ValueError("pass either a suite or synth specs, not both")
-        suite = synth_suite(synth)
-    elif suite is None:
-        raise ValueError("search_frontier needs a suite (or synth specs)")
-    if not kernels:
-        raise ValueError("kernels must not be empty")
-    if not y_values:
-        raise ValueError("every search axis needs at least one seed value")
-    check_scales("glb_scales", glb_scales)
-    check_scales("pe_scales", pe_scales)
-    if max_generations < 1:
-        raise ValueError("max_generations must be >= 1")
-    if not (0.0 < surrogate_budget <= 1.0):
-        raise ValueError("surrogate_budget must be in (0, 1]")
+    check_axes(y_values, glb_scales, pe_scales, kernels)
+    check_search_knobs(max_generations, surrogate_budget)
     if workloads is not None:
         suite = suite.subset(list(workloads))
     token = require_token(suite)

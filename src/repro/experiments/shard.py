@@ -54,7 +54,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.runner import CACHE
 from repro.experiments.scheduler import EvaluationScheduler
@@ -65,7 +65,8 @@ from repro.experiments.store import (
     _atomic_write_json,
     key_digest,
 )
-from repro.experiments.sweep import GridPlan, SweepResult, collect_result, plan_grid
+from repro.experiments.sweep import SweepResult, collect_result, plan_grid
+from repro.tensor.suite import WorkloadSuite
 from repro.utils import faults
 
 #: Default lease time-to-live: how long a heartbeat may stay frozen before
@@ -334,25 +335,20 @@ class ShardRunStats:
     signature: str
 
 
-def run_shard(suite=None, *, shard, store: ReportStore,
-              y_values: Sequence[float] = (0.05, 0.10, 0.22),
-              glb_scales: Sequence[float] = (1.0,),
-              pe_scales: Sequence[float] = (1.0,),
-              kernels: Sequence[str] = ("gram",),
-              synth: Optional[Sequence] = None,
-              base_architecture=None,
-              workloads: Optional[Sequence[str]] = None,
+def run_shard(suite: WorkloadSuite, *, shard, store: ReportStore,
               lease_ttl: float = DEFAULT_LEASE_TTL,
               poll_interval: Optional[float] = None,
               steal: bool = True,
               owner: Optional[str] = None,
               clock: Callable[[], float] = time.monotonic,
-              sleep: Callable[[float], None] = time.sleep) -> ShardRunStats:
+              sleep: Callable[[float], None] = time.sleep,
+              **grid) -> ShardRunStats:
     """Run one worker of a cooperative sharded sweep.
 
-    Grid-shaping arguments mirror :func:`~repro.experiments.sweep.sweep_grid`
-    — every worker (and the final ``merge``) must be launched with the same
-    ones.  ``shard`` is a :class:`ShardSpec` or an ``"i/N"`` string.
+    ``grid`` holds the grid-shaping keyword arguments of
+    :func:`~repro.experiments.sweep.plan_grid` — every worker (and the final
+    ``merge``) must be launched with the same ones.  ``shard`` is a
+    :class:`ShardSpec` or an ``"i/N"`` string.
 
     The worker publishes the grid manifest (idempotently — every worker
     writes the same bytes), evaluates the cells :func:`shard_of` assigns to
@@ -374,9 +370,7 @@ def run_shard(suite=None, *, shard, store: ReportStore,
     if store is None:
         raise ValueError("run_shard requires a store: the store *is* the "
                          "coordination substrate (CLI: --shard needs --store)")
-    plan = plan_grid(suite, y_values=y_values, glb_scales=glb_scales,
-                     pe_scales=pe_scales, kernels=kernels, synth=synth,
-                     base_architecture=base_architecture, workloads=workloads)
+    plan = plan_grid(suite, **grid)
     store.write_manifest(plan.signature, plan.manifest_payload("in-progress"))
 
     cells = plan.unique_requests
@@ -506,18 +500,12 @@ class ShardStatus:
         return self.missing == 0
 
 
-def shard_status(suite=None, *, store: ReportStore,
-                 y_values: Sequence[float] = (0.05, 0.10, 0.22),
-                 glb_scales: Sequence[float] = (1.0,),
-                 pe_scales: Sequence[float] = (1.0,),
-                 kernels: Sequence[str] = ("gram",),
-                 synth: Optional[Sequence] = None,
-                 base_architecture=None,
-                 workloads: Optional[Sequence[str]] = None) -> ShardStatus:
-    """Inspect a sharded grid's progress without evaluating or claiming."""
-    plan = plan_grid(suite, y_values=y_values, glb_scales=glb_scales,
-                     pe_scales=pe_scales, kernels=kernels, synth=synth,
-                     base_architecture=base_architecture, workloads=workloads)
+def shard_status(suite: WorkloadSuite, *, store: ReportStore,
+                 **grid) -> ShardStatus:
+    """Inspect a sharded grid's progress without evaluating or claiming
+    (``grid``: the keyword arguments of
+    :func:`~repro.experiments.sweep.plan_grid`)."""
+    plan = plan_grid(suite, **grid)
     manifest = store.read_manifest(plan.signature)
     manager = LeaseManager(store.root, owner="status-observer")
     cells = plan.unique_requests
@@ -567,15 +555,11 @@ def format_status(status: ShardStatus) -> str:
     return "\n".join(lines)
 
 
-def merge_shards(suite=None, *, store: ReportStore,
-                 y_values: Sequence[float] = (0.05, 0.10, 0.22),
-                 glb_scales: Sequence[float] = (1.0,),
-                 pe_scales: Sequence[float] = (1.0,),
-                 kernels: Sequence[str] = ("gram",),
-                 synth: Optional[Sequence] = None,
-                 base_architecture=None,
-                 workloads: Optional[Sequence[str]] = None) -> SweepResult:
-    """Assemble a completed sharded grid into its final :class:`SweepResult`.
+def merge_shards(suite: WorkloadSuite, *, store: ReportStore,
+                 **grid) -> SweepResult:
+    """Assemble a completed sharded grid into its final :class:`SweepResult`
+    (``grid``: the keyword arguments of
+    :func:`~repro.experiments.sweep.plan_grid`).
 
     Verifies the grid manifest exists and agrees with the planned cell
     count, and that *every* cell is present in the store — refusing (with a
@@ -584,9 +568,7 @@ def merge_shards(suite=None, *, store: ReportStore,
     (:func:`~repro.experiments.sweep.collect_result` over store-served
     reports), so the JSON/CSV bytes match a single-process sweep exactly.
     """
-    plan = plan_grid(suite, y_values=y_values, glb_scales=glb_scales,
-                     pe_scales=pe_scales, kernels=kernels, synth=synth,
-                     base_architecture=base_architecture, workloads=workloads)
+    plan = plan_grid(suite, **grid)
     manifest = store.read_manifest(plan.signature)
     if manifest is None:
         raise ShardError(

@@ -54,11 +54,15 @@ from repro.experiments.scheduler import (
 )
 from repro.model.stats import geometric_mean
 from repro.tensor.kernels import kernel_spec
-from repro.tensor.suite import WorkloadSuite, synth_suite
+from repro.tensor.suite import WorkloadSuite
 from repro.tensor.synth import specs_by_workload_name
 
 #: Default overbooking-target grid: below, at, and above the paper's y = 10%.
 DEFAULT_Y_VALUES = (0.05, 0.10, 0.22)
+#: Default capacity-scale axis (the base architecture) and kernel axis (the
+#: paper's Gram kernel).
+DEFAULT_SCALES = (1.0,)
+DEFAULT_KERNELS = ("gram",)
 
 
 @dataclass(frozen=True)
@@ -246,13 +250,26 @@ def _store_aware_scheduler(scheduler: Optional[EvaluationScheduler], store,
     return scheduler
 
 
-def check_scales(name: str, scales: Sequence[float]) -> None:
-    """Reject an empty or nonpositive capacity-scale axis (``ValueError``)."""
-    if not scales:
-        raise ValueError(f"{name} must not be empty")
-    bad = [scale for scale in scales if not 0.0 < float(scale) < math.inf]
+def check_axes(y_values: Sequence[float], glb_scales: Sequence[float],
+               pe_scales: Sequence[float], kernels: Sequence[str]) -> None:
+    """Reject an empty axis, a ``y`` outside [0, 1] or a nonpositive scale
+    (``ValueError``), or an unknown kernel (``KeyError``)."""
+    if not y_values:
+        raise ValueError("y_values must not be empty: every axis needs a "
+                         "value")
+    bad = [y for y in y_values if not 0.0 <= float(y) <= 1.0]
     if bad:
-        raise ValueError(f"{name} must be positive and finite, got {bad}")
+        raise ValueError(f"overbooking targets must be in [0, 1], got {bad}")
+    for name, scales in (("glb_scales", glb_scales), ("pe_scales", pe_scales)):
+        if not scales:
+            raise ValueError(f"{name} must not be empty")
+        bad = [scale for scale in scales if not 0.0 < float(scale) < math.inf]
+        if bad:
+            raise ValueError(f"{name} must be positive and finite, got {bad}")
+    if not kernels:
+        raise ValueError("kernels must not be empty")
+    for kernel in kernels:
+        kernel_spec(str(kernel))  # KeyError naming the known kernels
 
 
 def require_token(suite: WorkloadSuite):
@@ -329,44 +346,22 @@ class GridPlan:
         return payload
 
 
-def plan_grid(suite: Optional[WorkloadSuite] = None, *,
+def plan_grid(suite: WorkloadSuite, *,
               y_values: Sequence[float] = DEFAULT_Y_VALUES,
-              glb_scales: Sequence[float] = (1.0,),
-              pe_scales: Sequence[float] = (1.0,),
-              kernels: Sequence[str] = ("gram",),
-              synth: Optional[Sequence] = None,
-              corpus: Optional[Sequence[str]] = None,
-              corpus_manifest=None,
+              glb_scales: Sequence[float] = DEFAULT_SCALES,
+              pe_scales: Sequence[float] = DEFAULT_SCALES,
+              kernels: Sequence[str] = DEFAULT_KERNELS,
               base_architecture: Optional[ArchitectureConfig] = None,
               workloads: Optional[Sequence[str]] = None) -> GridPlan:
-    """Resolve a sweep grid into its deterministic :class:`GridPlan`.
+    """Resolve a sweep grid over ``suite`` into its deterministic
+    :class:`GridPlan`.
 
     Accepts exactly the grid-shaping arguments of :func:`sweep_grid` (which
     calls this first); the sharded runner and the ``merge``/``status``
     subcommands call it too, so every cooperating process agrees on the cell
     set, the request order, and the manifest signature.
     """
-    if not y_values:
-        raise ValueError("y_values must not be empty")
-    if not kernels:
-        raise ValueError("kernels must not be empty")
-    for kernel in kernels:
-        kernel_spec(str(kernel))  # KeyError naming the known kernels
-    check_scales("glb_scales", glb_scales)
-    check_scales("pe_scales", pe_scales)
-    if sum(axis is not None for axis in (suite, synth, corpus)) > 1:
-        raise ValueError(
-            "pass exactly one of a suite, synth specs, or corpus ids")
-    if synth is not None:
-        suite = synth_suite(synth)
-    elif corpus is not None:
-        from repro.tensor.corpus import corpus_workload_suite
-
-        suite = corpus_workload_suite(list(corpus),
-                                      manifest=corpus_manifest)
-    elif suite is None:
-        raise ValueError("a grid needs a suite (or synth specs, or corpus "
-                         "ids)")
+    check_axes(y_values, glb_scales, pe_scales, kernels)
     base = base_architecture or scaled_default_config()
     if workloads is not None:
         suite = suite.subset(list(workloads))
@@ -473,35 +468,23 @@ def collect_result(plan: GridPlan, stats: ScheduleStats) -> SweepResult:
     )
 
 
-def sweep_grid(suite: Optional[WorkloadSuite] = None, *,
-               y_values: Sequence[float] = DEFAULT_Y_VALUES,
-               glb_scales: Sequence[float] = (1.0,),
-               pe_scales: Sequence[float] = (1.0,),
-               kernels: Sequence[str] = ("gram",),
-               synth: Optional[Sequence] = None,
-               corpus: Optional[Sequence[str]] = None,
-               corpus_manifest=None,
-               base_architecture: Optional[ArchitectureConfig] = None,
-               workloads: Optional[Sequence[str]] = None,
+def sweep_grid(suite: WorkloadSuite, *,
                scheduler: Optional[EvaluationScheduler] = None,
                max_workers: Optional[int] = None,
-               store=None, resume: bool = False) -> SweepResult:
+               store=None, resume: bool = False, **grid) -> SweepResult:
     """Evaluate the full ``kernel × glb × pe × y`` grid over ``suite``.
 
-    ``workloads`` restricts the sweep to a subset of the suite; ``kernels``
-    adds a kernel dimension to the grid (default: the paper's Gram kernel
-    only).  ``synth`` makes sparsity *structure* the workload axis instead of
-    a suite: a sequence of :class:`~repro.tensor.synth.SynthSpec`s (or CLI
-    strings ``"model:param=value,..."``) swept as one synthetic suite, with
-    each row carrying ``model`` / ``model_params`` columns in the JSON/CSV
-    artifacts.  ``corpus`` instead sweeps *real* matrices: a sequence of
-    ``dataset:group/name`` IDs resolved through the corpus cache
-    (:func:`~repro.tensor.corpus.corpus_workload_suite`), with
-    ``corpus_manifest`` overlaying a descriptor manifest (the offline CI
-    fixtures are one).  All grid points are batched through one scheduler
-    prefetch;
-    pass ``max_workers=1`` (or a pre-configured ``scheduler``) to force
-    serial evaluation.
+    ``grid`` holds the grid-shaping keyword arguments of :func:`plan_grid`:
+    the ``y_values``, ``glb_scales``, ``pe_scales`` and ``kernels`` axes
+    (default: the paper's Gram kernel only), ``base_architecture``, and
+    ``workloads``, which restricts the sweep to a subset of the suite.  The
+    suite decides what the workload axis is: a canonical suite,
+    sparsity *structure* (:func:`~repro.tensor.suite.synth_suite`, whose
+    rows carry ``model`` / ``model_params`` columns in the JSON/CSV
+    artifacts) or real matrices
+    (:func:`~repro.tensor.corpus.corpus_workload_suite`).  All grid points
+    are batched through one scheduler prefetch; pass ``max_workers=1`` (or
+    a pre-configured ``scheduler``) to force serial evaluation.
 
     ``store`` (a :class:`~repro.experiments.store.ReportStore`) makes the
     sweep durable: each cell is persisted as it completes and a grid
@@ -517,10 +500,7 @@ def sweep_grid(suite: Optional[WorkloadSuite] = None, *,
     if resume and store is None:
         raise ValueError("resume=True needs a store to resume from "
                          "(CLI: --resume requires --store)")
-    plan = plan_grid(suite, y_values=y_values, glb_scales=glb_scales,
-                     pe_scales=pe_scales, kernels=kernels, synth=synth,
-                     corpus=corpus, corpus_manifest=corpus_manifest,
-                     base_architecture=base_architecture, workloads=workloads)
+    plan = plan_grid(suite, **grid)
     scheduler = _store_aware_scheduler(scheduler, store, max_workers)
 
     if store is not None:

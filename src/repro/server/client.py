@@ -126,43 +126,14 @@ class ServerClient:
     def shutdown(self) -> dict:
         return self._json("POST", "/shutdown")
 
-    def sweep(self, *, suite: str = "quick",
-              y: Sequence[float] = (0.05, 0.10, 0.22),
-              glb_scales: Sequence[float] = (1.0,),
-              pe_scales: Sequence[float] = (1.0,),
-              kernels: Sequence[str] = ("gram",),
-              workloads: Optional[Sequence[str]] = None,
-              synth: Optional[Sequence[str]] = None) -> StreamOutcome:
-        return self._stream("/sweep", {
-            "suite": suite, "y": list(y),
-            "glb_scales": list(glb_scales), "pe_scales": list(pe_scales),
-            "kernels": list(kernels),
-            "workloads": list(workloads) if workloads else None,
-            "synth": list(synth) if synth else None,
-        })
+    # The request endpoints send the keys their caller passes — the request
+    # schema's field names (docs/SERVER.md); ``None`` (JSON null) means
+    # unset.  Every default, and every check, is the schema's.
+    def sweep(self, **request) -> StreamOutcome:
+        return self._stream("/sweep", request)
 
-    def run(self, experiments: Sequence[str], *, suite: str = "quick",
-            kernel: str = "gram",
-            overbooking_target: float = 0.10) -> StreamOutcome:
-        return self._stream("/run", {
-            "experiments": list(experiments), "suite": suite,
-            "kernel": kernel, "overbooking_target": overbooking_target,
-        })
+    def run(self, experiments: Sequence[str], **request) -> StreamOutcome:
+        return self._stream("/run", {"experiments": experiments, **request})
 
-    def search(self, *, suite: str = "quick",
-               kernels: Sequence[str] = ("gram",),
-               y: Sequence[float] = (0.05, 0.10, 0.22),
-               glb_scales: Sequence[float] = (0.5, 1.0, 2.0),
-               pe_scales: Sequence[float] = (0.5, 1.0, 2.0),
-               generations: int = 2,
-               workloads: Optional[Sequence[str]] = None,
-               constraints: Optional[Sequence[str]] = None,
-               surrogate: bool = True) -> StreamOutcome:
-        return self._stream("/search", {
-            "suite": suite, "kernels": list(kernels), "y": list(y),
-            "glb_scales": list(glb_scales), "pe_scales": list(pe_scales),
-            "generations": generations,
-            "workloads": list(workloads) if workloads else None,
-            "constraints": list(constraints) if constraints else None,
-            "surrogate": surrogate,
-        })
+    def search(self, **request) -> StreamOutcome:
+        return self._stream("/search", request)

@@ -38,82 +38,90 @@ three drivers as JSON endpoints:
     non-daemon and ``server_close`` joins them), and drains the service
     queue.  No orphaned leases, tickets, or shared-memory segments.
 
-Requests are deliberately *identity-only* (suite names, grid axes, synth
-specs) — never server-local paths — so any client's request means the same
-thing on any server sharing a store.
+Bodies decode into the request schema (:mod:`repro.experiments.schema`),
+the same dataclasses the CLI builds, so a body means exactly what the
+matching CLI flags mean.  Requests are deliberately *identity-only* (suite
+names, grid axes, synth specs) — never server-local paths — so any client's
+request means the same thing on any server sharing a store.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from repro.experiments import registry
-from repro.experiments.runner import ExperimentContext
-from repro.experiments.scheduler import ScheduleStats, requests_for_context
+from repro.experiments.schema import (
+    GridRequest,
+    RequestError,
+    RunRequest,
+    SearchRequest,
+    artifact_payload,
+    plan_run,
+)
+from repro.experiments.scheduler import ScheduleStats
 from repro.experiments.search import search_frontier
-from repro.experiments.store import ReportStore
-from repro.experiments.surrogate import parse_constraint
 from repro.experiments.sweep import collect_result, plan_grid
 from repro.server.service import (
     DEFAULT_BATCH_WINDOW,
     EvaluationService,
     ServiceClosed,
 )
-from repro.tensor.suite import default_suite, small_suite, synth_suite
-from repro.tensor.synth import parse_synth_spec
+
+#: The request each streamed endpoint decodes its body into.
+REQUESTS = {"/sweep": GridRequest, "/run": RunRequest,
+            "/search": SearchRequest}
+
+#: The one default that differs from the CLI: a body naming no suite gets
+#: the quick suite (the CLI's ``run`` and ``sweep`` default to ``full``).
+DAEMON_DEFAULT_SUITE = "quick"
+
+#: Suite sources that name server-local files: CLI-only, refused here.
+SERVER_LOCAL_FIELDS = frozenset({"matrix", "corpus", "corpus_manifest"})
+
+#: Largest request body the daemon reads; a longer one is answered 413.
+MAX_BODY_BYTES = 1 << 20
 
 
-class RequestError(ValueError):
-    """A client request that cannot be served (HTTP 400)."""
+class PayloadTooLarge(RequestError):
+    """A body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
+
+    status = 413
 
 
-#: What planning raises on a body it cannot serve — a bad value, an unknown
-#: name, a wrong JSON type.  Raised before a stream starts, each is a 400.
-_PLANNING_ERRORS = (KeyError, TypeError, ValueError)
+def decode_request(path: str, body: dict):
+    """The schema request a JSON object ``body`` POSTed to ``path`` names.
 
-
-def _list_field(body: dict, key: str, default=None) -> Optional[list]:
-    """``body[key]`` (or ``default``); a set value must be a JSON list."""
-    value = body.get(key, default)
-    if value is not None and not isinstance(value, list):
-        raise RequestError(f"{key!r} must be a JSON list, got "
-                           f"{type(value).__name__}")
-    return value
-
-
-def _suite_from_body(body: dict):
-    """Resolve the request's suite: synth specs or a named built-in.
-
-    Corpus matrices (``--matrix``) are CLI-only: they name *server-local*
-    files, which a multi-tenant endpoint must not dereference.
+    Only JSON types are checked here — a list field must be a list (or
+    ``null``, meaning unset) and a boolean a JSON bool — and unknown keys
+    and server-local suite sources are refused.  The schema's
+    ``__post_init__`` validates every value; everything raises
+    :class:`RequestError`.
     """
-    synth = _list_field(body, "synth")
-    if synth:
-        try:
-            return synth_suite([parse_synth_spec(str(spec)) for spec in synth])
-        except (KeyError, ValueError) as error:
-            raise RequestError(f"bad synth spec: {error}") from error
-    name = body.get("suite", "quick")
-    suites = {"full": default_suite, "quick": small_suite}
-    if not isinstance(name, str) or name not in suites:
-        raise RequestError(f"unknown suite {name!r} (known: full, quick)")
-    return suites[name]()
-
-
-def _grid_kwargs_from_body(body: dict) -> dict:
-    """The ``plan_grid`` axes of a ``/sweep`` body (CLI-flag defaults)."""
-    return {
-        "y_values": [float(y) for y in
-                     _list_field(body, "y", [0.05, 0.10, 0.22])],
-        "glb_scales": [float(s) for s in
-                       _list_field(body, "glb_scales", [1.0])],
-        "pe_scales": [float(s) for s in _list_field(body, "pe_scales", [1.0])],
-        "kernels": [str(k) for k in _list_field(body, "kernels", ["gram"])],
-        "workloads": _list_field(body, "workloads"),
-    }
+    cls = REQUESTS[path]
+    known = {spec.name: spec for spec in fields(cls)}
+    values = {"suite": DAEMON_DEFAULT_SUITE}
+    for key, value in body.items():
+        spec = known.get(key)
+        if spec is None:
+            accepted = sorted(set(known) - SERVER_LOCAL_FIELDS)
+            raise RequestError(f"unknown key {key!r} for {path}; "
+                               f"known: {', '.join(accepted)}")
+        if key in SERVER_LOCAL_FIELDS:
+            raise RequestError(f"{key!r} names server-local files, which "
+                               f"the daemon does not read; use the CLI")
+        if value is None:
+            continue
+        if "Tuple" in str(spec.type) and not isinstance(value, list):
+            raise RequestError(f"{key!r} must be a JSON list, got "
+                               f"{type(value).__name__}")
+        if isinstance(spec.default, bool) and not isinstance(value, bool):
+            raise RequestError(f"{key!r} must be a JSON boolean, got "
+                               f"{type(value).__name__}")
+        values[key] = value
+    return cls(**values)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -140,7 +148,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        text = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(text)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry another
+            # request after the answer.
+            self.close_connection = True
+            if length > MAX_BODY_BYTES:
+                raise PayloadTooLarge(f"request body of {length} bytes "
+                                      f"exceeds {MAX_BODY_BYTES}")
+            raise RequestError(f"bad Content-Length {text!r}")
         raw = self.rfile.read(length) if length else b"{}"
         try:
             body = json.loads(raw or b"{}")
@@ -195,21 +215,22 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._streaming = False
         try:
-            handler(self._read_body())
-        except _PLANNING_ERRORS as error:
+            handler(decode_request(self.path, self._read_body()))
+        except ValueError as error:
+            # A request the schema refuses (or planning cannot serve) is a
+            # 400 before any stream starts; after that it is a server fault.
             if self._streaming:
                 raise
-            if isinstance(error, KeyError) and error.args:
-                error = error.args[0]  # str(KeyError) adds quotes
-            self._send_json({"error": str(error)}, 400)
+            self._send_json({"error": str(error)},
+                            getattr(error, "status", 400))
         except ServiceClosed:
             self._send_json({"error": "server is shutting down"}, 503)
 
     # ------------------------------------------------------------------ #
     # Endpoints
     # ------------------------------------------------------------------ #
-    def _handle_sweep(self, body: dict) -> None:
-        plan = plan_grid(_suite_from_body(body), **_grid_kwargs_from_body(body))
+    def _handle_sweep(self, request: GridRequest) -> None:
+        plan = plan_grid(request.build(), **request.grid_args())
 
         store = self.service.store
         if store is not None:
@@ -243,46 +264,12 @@ class _Handler(BaseHTTPRequestHandler):
                             "schedule": schedule})
         self._end_stream()
 
-    def _handle_run(self, body: dict) -> None:
-        names = _list_field(body, "experiments") or []
-        if not names:
-            raise RequestError("name at least one experiment "
-                               "(\"experiments\": [...])")
-        selected = [registry.get(name) for name in names]
-
-        suite_name = body.get("suite", "quick")
-        if suite_name not in ("full", "quick"):
-            raise RequestError(f"unknown suite {suite_name!r} "
-                               "(known: full, quick)")
-        kernel = str(body.get("kernel", "gram"))
-        y = float(body.get("overbooking_target", 0.10))
-        quick = suite_name == "quick"
-        params = {
-            experiment.name: dict(experiment.quick_params) if quick else {}
-            for experiment in selected
-        }
-        store = self.service.store
-        for experiment in selected:
-            if experiment.accepts_max_workers:
-                params[experiment.name].setdefault(
-                    "max_workers", self.service.scheduler.max_workers)
-            if (store is not None and experiment.accepts_store
-                    and experiment.store_scope == "reports"):
-                params[experiment.name].setdefault("store", store)
-
-        context = None
-        if any(experiment.needs_context for experiment in selected):
-            context = ExperimentContext.for_suite(
-                suite_name, overbooking_target=y, kernel=kernel)
-
+    def _handle_run(self, request: RunRequest) -> None:
+        plan = plan_run(request, store=self.service.store,
+                        max_workers=self.service.scheduler.max_workers)
         ticket = None
-        if context is not None:
-            targets = []
-            for experiment in selected:
-                targets.extend(experiment.evaluation_targets(
-                    context, **params[experiment.name]))
-            ticket = self.service.submit(
-                requests_for_context(context, targets))
+        if plan.context is not None:
+            ticket = self.service.submit(plan.evaluation_requests())
         self._begin_stream()
         if ticket is not None:
             for event in ticket.events():
@@ -293,51 +280,23 @@ class _Handler(BaseHTTPRequestHandler):
                     self._end_stream()
                     return
         manifest = []
-        for experiment in selected:
-            result = experiment.run(
-                context if experiment.needs_context else None,
-                **params[experiment.name])
-            payload = {
-                "experiment": experiment.name,
-                "artifact": experiment.artifact,
-                "title": experiment.title,
-                "suite": suite_name if experiment.needs_context else None,
-                "kernel": kernel if experiment.needs_context else None,
-                "overbooking_target": y if experiment.needs_context else None,
-                "params": {key: (str(value.root)
-                                 if isinstance(value, ReportStore) else value)
-                           for key, value in params[experiment.name].items()},
-                "result": experiment.to_json(result),
-            }
+        for experiment in plan.experiments:
+            payload = artifact_payload(plan, experiment, plan.run(experiment))
             self._stream_event({"event": "artifact", "payload": payload})
             manifest.append({"experiment": experiment.name,
                              "artifact": experiment.artifact})
         self._stream_event({"event": "result", "experiments": manifest})
         self._end_stream()
 
-    def _handle_search(self, body: dict) -> None:
-        suite = _suite_from_body(body)
-        constraints = _list_field(body, "constraints")
-        if constraints is not None:
-            constraints = [parse_constraint(text) for text in constraints]
+    def _handle_search(self, request: SearchRequest) -> None:
         # Runs in this handler thread: generations cannot be coalesced, but
         # sharing the service's store (and the process cache) still dedups
         # against everything the fleet has evaluated.
         result = search_frontier(
-            suite,
-            kernels=[str(k) for k in _list_field(body, "kernels", ["gram"])],
-            y_values=[float(v) for v in
-                      _list_field(body, "y", [0.05, 0.10, 0.22])],
-            glb_scales=[float(s) for s in
-                        _list_field(body, "glb_scales", [0.5, 1.0, 2.0])],
-            pe_scales=[float(s) for s in
-                       _list_field(body, "pe_scales", [0.5, 1.0, 2.0])],
-            max_generations=int(body.get("generations", 3)),
-            workloads=_list_field(body, "workloads"),
+            request.build(),
+            **request.search_args(),
             max_workers=self.service.scheduler.max_workers,
             store=self.service.store,
-            use_surrogate=bool(body.get("surrogate", True)),
-            constraints=constraints,
         )
         self._begin_stream()
         self._stream_event({"event": "result",

@@ -37,8 +37,8 @@ identities* instead of loose ``.mtx`` files on someone's disk:
   :class:`~repro.tensor.suite.WorkloadSuite` whose ``cache_token`` scope is
   ``("corpus", matrix-ids, manifest)`` — picklable and rebuildable, so
   scheduler workers, the shared-memory fan-out path, the report store and
-  ``sweep_grid(corpus=...)`` address real matrices exactly like the
-  synthetic suites.  Workers resolve the cache root from
+  ``sweep_grid(corpus_workload_suite(...))`` address real matrices exactly
+  like the synthetic suites.  Workers resolve the cache root from
   ``REPRO_CORPUS_CACHE``, so a pool shares one on-disk cache.
 
 Fault injection (:mod:`repro.utils.faults`) hooks the two interesting

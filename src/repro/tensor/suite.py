@@ -588,6 +588,12 @@ def small_suite(seed: int = 2023) -> WorkloadSuite:
     return WorkloadSuite(small, seed=seed, cache_scope="small")
 
 
+#: The built-in suites by the name requests use (``--suite``).
+NAMED_SUITES: Dict[str, Callable[..., WorkloadSuite]] = {
+    "full": default_suite,
+    "quick": small_suite,
+}
+
 #: ``cache_scope`` → builder, used by :func:`suite_from_token` to reconstruct
 #: canonical suites in scheduler worker processes.
 _CANONICAL_SUITE_BUILDERS: Dict[str, Callable[[int], WorkloadSuite]] = {

@@ -20,9 +20,10 @@ class TestRun:
         assert main(["run"]) == 2
         assert "--all" in capsys.readouterr().err
 
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError, match="fig99"):
-            main(["run", "fig99", "--no-artifacts"])
+    def test_unknown_experiment_raises(self, capsys):
+        assert main(["run", "fig99", "--no-artifacts"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fig99" in err
 
     def test_single_experiment_quick(self, tmp_path, capsys):
         code = main(["run", "fig7", "--suite", "quick", "--workers", "1",
@@ -92,11 +93,29 @@ class TestSweep:
         (["--pe-scales", ""], "must not be empty"),
     ])
     def test_bad_scale_axis_is_a_usage_error(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["sweep", "--suite", "quick", "--no-artifacts", *argv])
-        assert exit_info.value.code == 2
+        assert main(["sweep", "--suite", "quick", "--no-artifacts",
+                     *argv]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and message in err
+        assert "Traceback" not in err
+
+
+class TestRequestErrors:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--suite", "quick", "--workloads", "nope"],
+        ["sweep", "--suite", "quick", "--y", ""],
+        ["search", "--generations", "0"],
+        ["search", "--surrogate-budget", "2"],
+        ["run", "fig7", "--overbooking-target", "-1"],
+        ["run", "nonesuch"],
+    ], ids=["unknown-workload", "empty-y", "zero-generations",
+            "surrogate-budget-above-1", "negative-target",
+            "unknown-experiment"])
+    def test_bad_request_exits_2_with_an_error_line(self, capsys, argv):
+        """The schema's RequestError is a usage error, not a traceback."""
+        assert main([*argv, "--no-artifacts"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), err
         assert "Traceback" not in err
 
 
@@ -139,13 +158,11 @@ class TestSynthCli:
         assert {row["model"] for row in payload["rows"]} == {"uniform", "banded"}
 
     def test_malformed_synth_spec_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "fig7", "--synth", "uniform:n=abc"])
+        assert main(["run", "fig7", "--synth", "uniform:n=abc"]) == 2
         assert "must be numeric" in capsys.readouterr().err
 
     def test_unknown_synth_model_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "fig7", "--synth", "rmat"])
+        assert main(["run", "fig7", "--synth", "rmat"]) == 2
         assert "unknown sparsity model" in capsys.readouterr().err
 
     def test_run_table4_warns_that_synth_does_not_apply(self, tmp_path, capsys):

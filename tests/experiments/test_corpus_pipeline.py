@@ -170,29 +170,26 @@ class TestCorpusParallelBitIdentical:
 class TestCorpusSweep:
     def test_sweep_grid_accepts_a_corpus_axis(self):
         clear_process_caches()
-        result = sweep_grid(corpus=list(CORPUS_IDS), corpus_manifest=MANIFEST,
-                            y_values=(0.10,), max_workers=1)
+        result = sweep_grid(_fixture_suite(), y_values=(0.10,),
+                            max_workers=1)
         workloads = sorted({row.workload for row in result.rows})
         assert workloads == ["cant-mini", "fem-band", "magnitude-080"]
 
-    def test_corpus_axis_is_exclusive_with_suite_and_synth(self):
-        with pytest.raises(ValueError, match="exactly one of"):
-            sweep_grid(corpus=list(CORPUS_IDS), synth=("uniform:n=64,nnz=200",))
-
     def test_store_resumed_sweep_is_byte_identical(self, tmp_path):
-        grid = dict(corpus=list(CORPUS_IDS), corpus_manifest=MANIFEST,
-                    y_values=(0.05, 0.10), max_workers=1)
+        grid = dict(y_values=(0.05, 0.10), max_workers=1)
 
         clear_process_caches()
-        clean = sweep_grid(**grid)
+        clean = sweep_grid(_fixture_suite(), **grid)
         clean_json = clean.write_json(tmp_path / "clean.json").read_bytes()
         clean_csv = clean.write_csv(tmp_path / "clean.csv").read_bytes()
 
         clear_process_caches()
-        sweep_grid(store=ReportStore(tmp_path / "store"), **grid)
+        sweep_grid(_fixture_suite(), store=ReportStore(tmp_path / "store"),
+                   **grid)
 
         clear_process_caches()  # "fresh process": memos gone, store remains
-        resumed = sweep_grid(store=ReportStore(tmp_path / "store"),
+        resumed = sweep_grid(_fixture_suite(),
+                             store=ReportStore(tmp_path / "store"),
                              resume=True, **grid)
         assert resumed.schedule.computed == 0
         assert resumed.schedule.store_hits == len(CORPUS_IDS) * 2

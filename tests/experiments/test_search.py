@@ -130,10 +130,8 @@ class TestSearchFrontier:
     def test_rejects_empty_axes_and_suiteless_calls(self):
         with pytest.raises(ValueError, match="axis"):
             search_frontier(small_suite(), y_values=())
-        with pytest.raises(ValueError, match="suite"):
+        with pytest.raises(TypeError, match="suite"):
             search_frontier()
-        with pytest.raises(ValueError, match="not both"):
-            search_frontier(small_suite(), synth=["uniform"])
 
     def test_refined_axis_dedups_rounded_midpoints(self):
         """Midpoints that round onto an existing value (or inputs differing

@@ -8,8 +8,6 @@ the family.  Evaluation is deterministic end to end and pickling float64
 values is exact, so any drift here means a worker rebuilt different inputs.
 """
 
-import pytest
-
 from repro.experiments.runner import ExperimentContext, clear_process_caches
 from repro.experiments.scheduler import EvaluationScheduler, requests_for_context
 from repro.experiments.sweep import sweep_grid
@@ -88,14 +86,15 @@ class TestSynthParallelBitIdentical:
 
 class TestSynthSweepParallel:
     def test_sweep_over_synth_axis_matches_serial(self):
-        grid = dict(y_values=(0.05, 0.10), kernels=("gram", "spmv"),
-                    synth=SPECS)
+        grid = dict(y_values=(0.05, 0.10), kernels=("gram", "spmv"))
 
         clear_process_caches()
-        serial = sweep_grid(max_workers=1, **grid)
+        serial = sweep_grid(synth_suite(SPECS), max_workers=1, **grid)
         clear_process_caches()
-        parallel = sweep_grid(max_workers=2, scheduler=EvaluationScheduler(
-            max_workers=2, min_parallel_requests=1), **grid)
+        parallel = sweep_grid(synth_suite(SPECS), max_workers=2,
+                              scheduler=EvaluationScheduler(
+                                  max_workers=2, min_parallel_requests=1),
+                              **grid)
 
         assert [r.workload for r in parallel.rows] == \
             [r.workload for r in serial.rows]
@@ -103,14 +102,9 @@ class TestSynthSweepParallel:
             assert left == right  # dataclass equality: every float identical
 
     def test_sweep_rows_carry_model_columns(self):
-        result = sweep_grid(synth=SPECS, y_values=(0.10,), max_workers=1)
+        result = sweep_grid(synth_suite(SPECS), y_values=(0.10,),
+                            max_workers=1)
         models = {row.model for row in result.rows}
         assert models == {"uniform", "power_law_rows", "density_gradient"}
         for row in result.rows:
             assert "n=" in row.model_params
-
-    def test_suite_and_synth_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="exactly one of"):
-            sweep_grid(synth_suite(SPECS), synth=SPECS)
-        with pytest.raises(ValueError, match="needs a suite"):
-            sweep_grid()

@@ -10,6 +10,7 @@ covers the last).
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro.cli import main
 from repro.experiments.runner import clear_process_caches
 from repro.experiments.store import LEASES_DIR, ReportStore
 from repro.experiments.sweep import plan_grid
+from repro.server.http import MAX_BODY_BYTES
 from repro.server import (
     EvaluationService,
     ServerClient,
@@ -236,6 +238,57 @@ class TestHTTPEndpoints:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("path, body, message", [
+        ("/sweep", {"kernel": "spmm"}, "unknown key 'kernel'"),
+        ("/sweep", {"matrix": ["x.mtx"]}, "server-local"),
+        ("/sweep", {"corpus": ["suitesparse:Williams/cant"]},
+         "server-local"),
+        ("/search", {"surrogate": "false"},
+         "'surrogate' must be a JSON boolean"),
+    ], ids=["unknown-key", "matrix", "corpus", "string-boolean"])
+    def test_unserviceable_body_gets_a_json_400(self, live_server, path,
+                                                body, message):
+        """Keys the schema lacks, server-local suite sources and non-JSON
+        booleans are refused, never silently ignored or coerced."""
+        client, _store = live_server
+        connection = http.client.HTTPConnection(client.host, client.port,
+                                                timeout=60)
+        try:
+            connection.request("POST", path, body=json.dumps(body).encode(),
+                               headers={"Connection": "close"})
+            response = connection.getresponse()
+            assert response.status == 400
+            assert message in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("length, status", [
+        ("-1", 400), ("abc", 400), (str(MAX_BODY_BYTES + 1), 413),
+    ], ids=["negative", "not-an-integer", "too-large"])
+    def test_bad_content_length_is_answered_unread(self, live_server, length,
+                                                   status):
+        """Framing errors get a JSON answer at once: the daemon neither
+        blocks reading a negative length nor buffers an oversized body."""
+        client, _store = live_server
+        with socket.create_connection((client.host, client.port),
+                                      timeout=5) as sock:
+            sock.sendall(f"POST /sweep HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(4096)
+                assert chunk, "connection closed without a response"
+                reply += chunk
+            head, _, rest = reply.partition(b"\r\n\r\n")
+            assert head.split()[1] == str(status).encode()
+            size = int(next(line.split(b":")[1] for line in head.split(b"\r\n")
+                            if line.lower().startswith(b"content-length")))
+            while len(rest) < size:
+                chunk = sock.recv(4096)
+                assert chunk
+                rest += chunk
+        assert "error" in json.loads(rest[:size])
+
     def test_unknown_experiment_is_a_request_error(self, live_server):
         client, _store = live_server
         with pytest.raises(Exception, match="nonesuch|unknown"):
@@ -277,20 +330,30 @@ class TestByteIdentity:
 
     def test_run_endpoint_matches_cli_artifact_payload(
             self, live_server, tmp_path, capsys):
+        """``/run`` artifacts equal the CLI's, apart from the wall-clock
+        ``seconds`` and the daemon's own worker budget.  The CLI is given
+        ``--suite quick``, the daemon's default."""
         client, _store = live_server
-        outcome = client.run(["table2"], suite="quick")
-        artifact = [event for event in outcome.events
-                    if event["event"] == "artifact"][0]["payload"]
-
-        out_dir = tmp_path / "cli-run"
-        assert main(["run", "table2", "--suite", "quick", "--quiet",
-                     "--output-dir", str(out_dir)]) == 0
-        cli_payload = json.loads((out_dir / "table2.json").read_text())
-        # The CLI payload adds wall-clock ``seconds``; everything
-        # identity-bearing must match exactly.
-        assert artifact["result"] == cli_payload["result"]
-        assert artifact["experiment"] == cli_payload["experiment"]
-        assert artifact["suite"] == cli_payload["suite"]
+        cases = [
+            (["table2"], {}, []),
+            (["table2", "table3"], {"kernel": "spmm"}, ["--kernel", "spmm"]),
+            (["fig7"], {"synth": ["uniform"]}, ["--synth", "uniform"]),
+        ]
+        for index, (names, body, flags) in enumerate(cases):
+            outcome = client.run(names, **body)
+            served = {event["payload"]["experiment"]: event["payload"]
+                      for event in outcome.events
+                      if event["event"] == "artifact"}
+            out_dir = tmp_path / f"cli-run-{index}"
+            assert main(["run", *names, "--suite", "quick", *flags,
+                         "--quiet", "--output-dir", str(out_dir)]) == 0
+            for name in names:
+                cli_payload = json.loads(
+                    (out_dir / f"{name}.json").read_text())
+                del cli_payload["seconds"]
+                for payload in (served[name], cli_payload):
+                    payload["params"].pop("max_workers", None)
+                assert served[name] == cli_payload, (names, body)
 
 
 class TestGracefulShutdown:

@@ -84,6 +84,23 @@ class TestDocFiles:
         assert "cache_token" in text or "cache token" in text
         assert "suite_from_token" in text
 
+    def test_server_doc_names_every_request_field(self):
+        """docs/SERVER.md's body-key table covers the whole request schema."""
+        from dataclasses import fields
+
+        from repro.experiments.schema import (
+            GridRequest,
+            RunRequest,
+            SearchRequest,
+        )
+
+        text = (REPO_ROOT / "docs" / "SERVER.md").read_text()
+        for cls in (GridRequest, SearchRequest, RunRequest):
+            for spec in fields(cls):
+                assert f"`{spec.name}`" in text, (
+                    f"docs/SERVER.md lacks the {cls.__name__} field "
+                    f"`{spec.name}`")
+
     def test_cli_doc_covers_every_subcommand(self):
         from repro.cli import build_parser
 
