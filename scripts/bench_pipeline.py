@@ -287,7 +287,6 @@ SEARCH_BENCH_GRID = dict(
     pe_scales=(0.5, 1.0, 2.0),
     max_generations=4,
     max_evaluations=100000,
-    max_workers=1,
 )
 
 
@@ -305,6 +304,7 @@ def _bench_search() -> dict:
         clear_process_caches()
         start = time.perf_counter()
         result = search_frontier(small_suite(), use_surrogate=use_surrogate,
+                                 scheduler=EvaluationScheduler(max_workers=1),
                                  **SEARCH_BENCH_GRID)
         return result, time.perf_counter() - start
 

@@ -115,7 +115,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.experiments import registry
-from repro.experiments.scheduler import EvaluationScheduler
+from repro.experiments.scheduler import EvaluationScheduler, format_schedule
 from repro.experiments.schema import (
     GridRequest,
     RequestError,
@@ -186,6 +186,14 @@ def _store_for(args: argparse.Namespace) -> Optional[ReportStore]:
     if getattr(args, "store", None) is None:
         return None
     return ReportStore(args.store)
+
+
+def _scheduler_for(args: argparse.Namespace) -> EvaluationScheduler:
+    """The one scheduler of a ``run``/``sweep``/``search`` request: the
+    ``--workers`` budget and the ``--store`` every evaluation goes
+    through."""
+    return EvaluationScheduler(max_workers=args.workers,
+                               store=_store_for(args))
 
 
 def _add_store_argument(parser: argparse.ArgumentParser, *,
@@ -475,29 +483,16 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     request = _request(RunRequest, args)
-    store = _store_for(args)
-    plan = plan_run(request, store=store, max_workers=args.workers)
+    plan = plan_run(request, scheduler=_scheduler_for(args))
     for warning in plan.warnings:
         print(f"[warning] {warning}", file=sys.stderr)
 
-    scheduler = EvaluationScheduler(max_workers=args.workers, store=store)
     start = time.perf_counter()
-    if plan.context is not None:
-        stats = scheduler.prefetch(plan.evaluation_requests())
-        if stats.computed:
-            store_note = (f", {stats.store_hits} from the store"
-                          if stats.store_hits else "")
-            print(f"[scheduler] {stats.unique} evaluations requested, "
-                  f"{stats.warm} warm{store_note}, {stats.computed} computed "
-                  f"on {stats.workers} worker(s) in "
-                  f"{time.perf_counter() - start:.2f}s", file=sys.stderr)
-        elif stats.store_hits:
-            print(f"[scheduler] all {stats.unique} evaluations served warm "
-                  f"({stats.store_hits} from the report store)",
-                  file=sys.stderr)
-        else:
-            print(f"[scheduler] all {stats.unique} evaluations served from "
-                  f"the report memo", file=sys.stderr)
+    summary = format_schedule(
+        plan.scheduler.prefetch(plan.evaluation_requests()))
+    if summary:
+        print(f"[scheduler] {summary} in {time.perf_counter() - start:.2f}s",
+              file=sys.stderr)
 
     output_dir: Optional[Path] = None if args.no_artifacts else args.output_dir
     if output_dir is not None:
@@ -590,8 +585,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = sweep_grid(
         request.build(),
         **request.grid_args(),
-        max_workers=args.workers,
-        store=_store_for(args),
+        scheduler=_scheduler_for(args),
         resume=args.resume,
     )
     print(format_summaries(result))
@@ -612,8 +606,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     result = search_frontier(
         request.build(),
         **request.search_args(),
-        max_workers=args.workers,
-        store=_store_for(args),
+        scheduler=_scheduler_for(args),
     )
     print(format_frontier(result))
     pruned = sum(stats.pruned_configs for stats in result.generations)

@@ -10,15 +10,15 @@ with sparsity structure and kernel?
 It runs :func:`~repro.experiments.search.search_frontier` over a synthetic
 structure ladder (uniform → banded → power-law hub skew, the same axis as
 Table 4) × a kernel pair, with generational axis refinement pruning
-dominated configurations between generations.  With a
-:class:`~repro.experiments.store.ReportStore` attached (CLI: ``--store``),
+dominated configurations between generations.  When the run's scheduler
+carries a :class:`~repro.experiments.store.ReportStore` (CLI: ``--store``),
 every evaluated design point is durable, so re-running the figure — or
 widening the grid — only pays for configurations never seen before.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.registry import register
 from repro.experiments.runner import ExperimentContext
@@ -65,16 +65,15 @@ def run(context: ExperimentContext,
         glb_scales: Sequence[float] = DEFAULT_GLB_SCALES,
         pe_scales: Sequence[float] = DEFAULT_PE_SCALES,
         max_generations: int = DEFAULT_GENERATIONS,
-        max_workers: Optional[int] = None,
-        store=None,
-        use_surrogate: bool = True) -> FrontierResult:
+        use_surrogate: bool = True, *,
+        scheduler: EvaluationScheduler) -> FrontierResult:
     """Search the design space over the structure ladder.
 
     The context supplies the base architecture, and suite seed (the
     overbooking target is a *search axis* here, so the context's ``y`` seeds
     the axis rather than pinning it); the workloads come from the synthetic
     structure ladder.  All evaluations are batched per generation through
-    the scheduler, store-aware when ``store`` is attached.  Refinement
+    ``scheduler`` (and its store, if it has one).  Refinement
     generations rank candidates through the surrogate by default (CLI:
     ``--no-surrogate`` for the brute-force reference; the quick grid is
     too small to train it, so the quick path is brute force either way).
@@ -90,7 +89,7 @@ def run(context: ExperimentContext,
         pe_scales=pe_scales,
         max_generations=max_generations,
         base_architecture=context.architecture,
-        scheduler=EvaluationScheduler(max_workers=max_workers, store=store),
+        scheduler=scheduler,
         use_surrogate=use_surrogate,
     )
 

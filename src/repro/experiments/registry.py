@@ -26,12 +26,7 @@ An :class:`Experiment` bundles the spec the drivers need:
   lazily from the defining module (``to_json`` falls back to a generic
   dataclass-aware converter);
 * ``quick_params`` — parameter overrides that keep the experiment meaningful
-  *and fast* on the three-workload quick suite (used by smoke tests and CI);
-* ``store_scope`` — whether the experiment's evaluations flow through the
-  persistent report store (:mod:`repro.experiments.store`): ``"reports"``
-  for everything that evaluates per-variant reports (the CLI attaches
-  ``--store`` to these), ``"none"`` for self-contained experiments with
-  nothing cacheable on disk (the Fig. 5 trace).
+  *and fast* on the three-workload quick suite (used by smoke tests and CI).
 
 :func:`discover` imports every experiment module exactly once so their
 decorators run; every registry accessor calls it, so callers never need to.
@@ -149,12 +144,6 @@ class Experiment:
     #: (table3 evaluates every kernel regardless of the context's), ``()``
     #: for self-contained experiments.
     kernels: tuple = ("any",)
-    #: Persistent-store scope: ``"reports"`` when the experiment's
-    #: evaluations are per-variant reports addressable by the canonical
-    #: ``(suite token, architecture, y, kernel, workload)`` identity (so the
-    #: on-disk store can serve/persist them), ``"none"`` when nothing it
-    #: computes is report-shaped (Fig. 5's cycle-level trace).
-    store_scope: str = "reports"
 
     @property
     def needs_context(self) -> bool:
@@ -169,33 +158,11 @@ class Experiment:
 
     def accepts_param(self, name: str) -> bool:
         """Whether ``run`` declares parameter ``name`` — how drivers decide
-        which cross-cutting knobs (``--workers``, ``--store``,
-        ``--no-surrogate``) an experiment can receive."""
+        which cross-cutting inputs (the request's ``scheduler``,
+        ``--no-surrogate``, the corpus manifest) an experiment receives."""
         import inspect
 
         return name in inspect.signature(self.compute).parameters
-
-    @property
-    def accepts_max_workers(self) -> bool:
-        """Whether ``run`` takes a ``max_workers`` parameter.
-
-        Experiments that schedule their own evaluations (``table4`` batches
-        a suite the CLI never sees) declare the parameter; drivers thread
-        their worker budget through it so ``--workers`` is honored
-        everywhere.
-        """
-        return self.accepts_param("max_workers")
-
-    @property
-    def accepts_store(self) -> bool:
-        """Whether ``run`` takes a ``store`` parameter.
-
-        Experiments that schedule their own evaluations (``fig14``'s
-        generational search) accept the report store directly; drivers
-        thread ``--store`` through it the same way ``--workers`` reaches
-        ``max_workers``.
-        """
-        return self.accepts_param("store")
 
     @property
     def kernel_axis(self) -> str:
@@ -273,22 +240,11 @@ def register(*, name: str, artifact: str, title: str,
              required_suite: str = "any", needs_reports: bool = False,
              uses_suite: bool = True,
              quick_params: Optional[Mapping[str, Any]] = None,
-             kernels: tuple = ("any",),
-             store_scope: Optional[str] = None):
-    """Class the decorated ``run`` function as the experiment ``name``.
-
-    ``store_scope`` defaults to ``"reports"`` for context-consuming
-    experiments and ``"none"`` for self-contained ones
-    (``required_suite="none"``).
-    """
+             kernels: tuple = ("any",)):
+    """Class the decorated ``run`` function as the experiment ``name``."""
     if required_suite not in ("any", "none"):
         raise ValueError(f"required_suite must be 'any' or 'none', "
                          f"got {required_suite!r}")
-    if store_scope is None:
-        store_scope = "none" if required_suite == "none" else "reports"
-    if store_scope not in ("reports", "none"):
-        raise ValueError(f"store_scope must be 'reports' or 'none', "
-                         f"got {store_scope!r}")
 
     def decorate(func: Callable[..., Any]) -> Callable[..., Any]:
         if name in _REGISTRY and _REGISTRY[name].module != func.__module__:
@@ -305,7 +261,6 @@ def register(*, name: str, artifact: str, title: str,
             uses_suite=bool(uses_suite),
             quick_params=dict(quick_params or {}),
             kernels=tuple(kernels),
-            store_scope=store_scope,
         )
         return func
 

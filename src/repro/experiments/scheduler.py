@@ -112,6 +112,20 @@ class ScheduleStats:
     shm_segments: int = 0
 
 
+def format_schedule(stats: ScheduleStats) -> str:
+    """Where a prefetch's evaluations came from, in one line — computed,
+    report store, report memo — or ``""`` when nothing was requested."""
+    notes = []
+    if stats.computed:
+        notes.append(f"{stats.computed} evaluations computed on "
+                     f"{stats.workers} worker(s)")
+    if stats.store_hits:
+        notes.append(f"{stats.store_hits} served from the report store")
+    if stats.warm:
+        notes.append(f"{stats.warm} served from the report memo")
+    return "; ".join(notes)
+
+
 def requests_for_context(
         context: ExperimentContext,
         targets: Optional[Iterable[tuple]] = None,

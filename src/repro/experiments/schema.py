@@ -20,8 +20,8 @@ and refuses unknown keys — so a request means the same on both.
     A Pareto ``search`` (:func:`~repro.experiments.search.search_frontier`).
 :class:`RunRequest`
     A ``run`` of registered experiments.  :func:`plan_run` resolves it into
-    experiments, parameters and a context; :func:`artifact_payload` renders
-    one experiment's JSON artifact.
+    experiments, parameters, a context and the request's scheduler;
+    :func:`artifact_payload` renders one experiment's JSON artifact.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments import registry
 from repro.experiments.runner import ExperimentContext
-from repro.experiments.scheduler import requests_for_context
+from repro.experiments.scheduler import (
+    EvaluationScheduler,
+    requests_for_context,
+)
 from repro.experiments.search import (
     DEFAULT_GENERATIONS,
     DEFAULT_GLB_SCALES,
@@ -40,7 +43,6 @@ from repro.experiments.search import (
     DEFAULT_SURROGATE_BUDGET,
     check_search_knobs,
 )
-from repro.experiments.store import ReportStore
 from repro.experiments.surrogate import parse_constraint
 from repro.experiments.sweep import (
     DEFAULT_KERNELS,
@@ -240,19 +242,24 @@ class RunRequest(SuiteSpec):
 # --------------------------------------------------------------------- #
 @dataclass
 class RunPlan:
-    """A resolved :class:`RunRequest`: what runs, with which parameters."""
+    """A resolved :class:`RunRequest`: what runs, with which parameters,
+    through which scheduler."""
 
     request: RunRequest
     experiments: List[registry.Experiment]
     params: Dict[str, dict]
     context: Optional[ExperimentContext]
     warnings: List[str]
+    scheduler: EvaluationScheduler
 
     def run(self, experiment: registry.Experiment):
-        """Run one experiment of the plan."""
+        """Run one experiment of the plan; the experiments that evaluate
+        their own workload sets get the plan's scheduler."""
+        params = dict(self.params[experiment.name])
+        if experiment.accepts_param("scheduler"):
+            params["scheduler"] = self.scheduler
         return experiment.run(
-            self.context if experiment.needs_context else None,
-            **self.params[experiment.name])
+            self.context if experiment.needs_context else None, **params)
 
     def evaluation_requests(self) -> list:
         """The evaluations the experiments will read, for one prefetch."""
@@ -265,15 +272,15 @@ class RunPlan:
         return requests_for_context(self.context, targets)
 
 
-def plan_run(request: RunRequest, *, store: Optional[ReportStore] = None,
-             max_workers: Optional[int] = None) -> RunPlan:
-    """Resolve ``request`` into experiments, their parameters and a context.
+def plan_run(request: RunRequest, *,
+             scheduler: EvaluationScheduler) -> RunPlan:
+    """Resolve ``request`` into experiments, their parameters and a context,
+    evaluated through ``scheduler``.
 
-    ``quick`` suites switch each experiment to its fast parameter set.  The
-    worker budget, ``surrogate=False``, the corpus manifest and the report
-    store are threaded into the experiments that accept them.  Warnings name
-    request fields that do not apply to an experiment, so an artifact is
-    never mislabeled silently.
+    ``quick`` suites switch each experiment to its fast parameter set.
+    ``surrogate=False`` and the corpus manifest are threaded into the
+    experiments that accept them.  Warnings name request fields that do not
+    apply to an experiment, so an artifact is never mislabeled silently.
     """
     selected = (registry.experiments() if request.run_all
                 else [registry.get(name) for name in request.experiments])
@@ -295,15 +302,10 @@ def plan_run(request: RunRequest, *, store: Optional[ReportStore] = None,
                             f"(only the architecture, overbooking target and "
                             f"seed carry over)")
         own = dict(experiment.quick_params) if quick else {}
-        if experiment.accepts_param("max_workers") and max_workers is not None:
-            own.setdefault("max_workers", max_workers)
         if experiment.accepts_param("use_surrogate") and not request.surrogate:
             own.setdefault("use_surrogate", False)
         if experiment.accepts_param("manifest") and request.corpus_manifest:
             own["manifest"] = request.corpus_manifest
-        if (store is not None and experiment.accepts_param("store")
-                and experiment.store_scope == "reports"):
-            own.setdefault("store", store)
         params[experiment.name] = own
 
     context = None
@@ -312,7 +314,7 @@ def plan_run(request: RunRequest, *, store: Optional[ReportStore] = None,
             suite=request.build(),
             overbooking_target=request.overbooking_target,
             kernel=request.kernel)
-    return RunPlan(request, selected, params, context, warnings)
+    return RunPlan(request, selected, params, context, warnings, scheduler)
 
 
 def artifact_payload(plan: RunPlan, experiment: registry.Experiment, result,
@@ -329,10 +331,7 @@ def artifact_payload(plan: RunPlan, experiment: registry.Experiment, result,
         "kernel": experiment.effective_kernel(request.kernel),
         "overbooking_target": (request.overbooking_target
                                if needs_context else None),
-        # The store parameter is a live handle; record its path.
-        "params": {key: (str(value.root)
-                         if isinstance(value, ReportStore) else value)
-                   for key, value in plan.params[experiment.name].items()},
+        "params": plan.params[experiment.name],
     }
     if seconds is not None:
         payload["seconds"] = seconds

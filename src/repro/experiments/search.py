@@ -11,8 +11,8 @@ model):
 
 * :func:`search_frontier` runs a *generational* search.  Generation 0
   evaluates the seed grid (every combination of the initial axis values)
-  through the same batched :class:`~repro.experiments.scheduler.
-  EvaluationScheduler` as every other experiment — store-aware and therefore
+  through the caller's batched :class:`~repro.experiments.scheduler.
+  EvaluationScheduler` — store-aware when it carries a store, and therefore
   resumable.
 * Between generations, dominated configurations are pruned: only
   configurations that are Pareto-optimal for at least one ``(kernel,
@@ -82,7 +82,6 @@ from repro.experiments.sweep import (
     DEFAULT_Y_VALUES,
     _refusing_overwrite,
     _scaled_architecture,
-    _store_aware_scheduler,
     check_axes,
     require_token,
 )
@@ -325,6 +324,7 @@ def check_search_knobs(max_generations: int, surrogate_budget: float) -> None:
 
 
 def search_frontier(suite: WorkloadSuite, *,
+                    scheduler: EvaluationScheduler,
                     kernels: Sequence[str] = DEFAULT_KERNELS,
                     y_values: Sequence[float] = DEFAULT_Y_VALUES,
                     glb_scales: Sequence[float] = DEFAULT_GLB_SCALES,
@@ -333,16 +333,15 @@ def search_frontier(suite: WorkloadSuite, *,
                     max_evaluations: int = 2000,
                     base_architecture: Optional[ArchitectureConfig] = None,
                     workloads: Optional[Sequence[str]] = None,
-                    scheduler: Optional[EvaluationScheduler] = None,
-                    max_workers: Optional[int] = None,
-                    store=None,
                     use_surrogate: bool = True,
                     surrogate_budget: float = DEFAULT_SURROGATE_BUDGET,
                     constraints: Optional[Sequence] = None) -> FrontierResult:
     """Generationally explore the ``(y, GLB, PE)`` space, keep the frontier.
 
-    Parameters mirror :func:`~repro.experiments.sweep.sweep_grid` where they
-    overlap (``suite``/``kernels``/``workloads``/``store``); the
+    Every generation's exact evaluations go through ``scheduler``: its
+    worker budget, and its report store when it has one.  Parameters
+    mirror :func:`~repro.experiments.sweep.sweep_grid` where they overlap
+    (``suite``/``kernels``/``workloads``); the
     search-specific knobs are the seed axes (``y_values``, ``glb_scales``,
     ``pe_scales``), ``max_generations`` (generation 0 is the seed grid; each
     further generation refines the axes around the current frontier and
@@ -387,7 +386,6 @@ def search_frontier(suite: WorkloadSuite, *,
                                          for item in (constraints or ())]
     synth_specs = specs_by_workload_name(suite)
     base = base_architecture or scaled_default_config()
-    scheduler = _store_aware_scheduler(scheduler, store, max_workers)
 
     axes = {
         "y": sorted(_round(y) for y in y_values),

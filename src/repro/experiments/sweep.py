@@ -51,6 +51,7 @@ from repro.experiments.scheduler import (
     EvaluationRequest,
     EvaluationScheduler,
     ScheduleStats,
+    format_schedule,
 )
 from repro.model.stats import geometric_mean
 from repro.tensor.kernels import kernel_spec
@@ -229,25 +230,6 @@ def sweep_signature(suite: WorkloadSuite, *, y_values, glb_scales, pe_scales,
         "architecture": to_jsonable(base),
     }, sort_keys=True, separators=(",", ":"))
     return "sweep-" + hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _store_aware_scheduler(scheduler: Optional[EvaluationScheduler], store,
-                           max_workers: Optional[int]) -> EvaluationScheduler:
-    """The scheduler a store-aware driver should use.
-
-    Never mutates a caller-supplied scheduler: when one is given without a
-    store attached, an equivalently-configured scheduler carrying ``store``
-    is built for this call only (the scheduler holds configuration, not
-    state, so this loses nothing).
-    """
-    if scheduler is None:
-        return EvaluationScheduler(max_workers=max_workers, store=store)
-    if store is not None and scheduler.store is None:
-        return EvaluationScheduler(
-            max_workers=scheduler.max_workers,
-            min_parallel_requests=scheduler.min_parallel_requests,
-            store=store)
-    return scheduler
 
 
 def check_axes(y_values: Sequence[float], glb_scales: Sequence[float],
@@ -483,25 +465,30 @@ def sweep_grid(suite: WorkloadSuite, *,
     rows carry ``model`` / ``model_params`` columns in the JSON/CSV
     artifacts) or real matrices
     (:func:`~repro.tensor.corpus.corpus_workload_suite`).  All grid points
-    are batched through one scheduler prefetch; pass ``max_workers=1`` (or
-    a pre-configured ``scheduler``) to force serial evaluation.
+    are batched through one prefetch of ``scheduler``, or of one built from
+    ``max_workers`` and ``store`` (passing both kinds is a ``ValueError``);
+    ``max_workers=1`` forces serial evaluation.
 
-    ``store`` (a :class:`~repro.experiments.store.ReportStore`) makes the
-    sweep durable: each cell is persisted as it completes and a grid
-    manifest is published before evaluation starts.  ``resume=True``
-    (requires ``store``) reruns an interrupted grid — cells already on disk
-    are not re-evaluated, and the resulting artifacts are byte-identical to
-    an uninterrupted run's.
+    A store (a :class:`~repro.experiments.store.ReportStore`, given directly
+    or carried by ``scheduler``) makes the sweep durable: each cell is
+    persisted as it completes and a grid manifest is published before
+    evaluation starts.  ``resume=True`` (requires a store) reruns an
+    interrupted grid — cells already on disk are not re-evaluated, and the
+    resulting artifacts are byte-identical to an uninterrupted run's.
 
     Cold cells are evaluated through the vectorized batch engine
     (:mod:`repro.model.batch`), one batched evaluation per ``(kernel,
     workload)`` instead of one per cell.
     """
+    if scheduler is None:
+        scheduler = EvaluationScheduler(max_workers=max_workers, store=store)
+    elif max_workers is not None or store is not None:
+        raise ValueError("pass a scheduler or max_workers/store, not both")
+    store = scheduler.store
     if resume and store is None:
         raise ValueError("resume=True needs a store to resume from "
                          "(CLI: --resume requires --store)")
     plan = plan_grid(suite, **grid)
-    scheduler = _store_aware_scheduler(scheduler, store, max_workers)
 
     if store is not None:
         # Publish (atomically) what this sweep is about to do *before* doing
@@ -524,16 +511,6 @@ def format_summaries(result: SweepResult) -> str:
     """Plain-text summary table of a sweep (one line per grid point)."""
     from repro.utils.text import format_table
 
-    schedule = result.schedule
-    notes = []
-    if schedule.computed:
-        notes.append(f"scheduler computed {schedule.computed} evaluations on "
-                     f"{schedule.workers} worker(s)")
-    if schedule.store_hits:
-        notes.append(f"{schedule.store_hits} served from the report store")
-    if not notes:
-        notes.append("all evaluations served from the report memo")
-    schedule_note = "; ".join(notes)
     return format_table(
         ["point", "OB/N speedup", "OB/P speedup", "OB/N energy"],
         [
@@ -545,5 +522,5 @@ def format_summaries(result: SweepResult) -> str:
         ],
         title=(f"Sweep over {len(result.points)} grid points, "
                f"{len(result.suite_workloads)} workloads "
-               f"(geometric means; {schedule_note})"),
+               f"(geometric means; {format_schedule(result.schedule)})"),
     )

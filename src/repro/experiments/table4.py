@@ -12,9 +12,10 @@ the overbooking speedups.  The result makes the paper's qualitative claim
 ("overbooking wins where occupancy variability is high") a measured curve.
 
 The synthetic suite is canonical (``("synth", ...)`` cache scope), so the
-evaluations are batched through the same parallel scheduler as every other
-experiment: workers regenerate the matrices bit-identically from their
-``(model, params, seed)`` identities.
+evaluations are batched through the run's scheduler like every other
+experiment's: workers regenerate the matrices bit-identically from their
+``(model, params, seed)`` identities, and the scheduler's report store
+serves and persists them.
 """
 
 from __future__ import annotations
@@ -98,13 +99,14 @@ class Table4Result:
 def run(context: ExperimentContext,
         specs: Sequence = DEFAULT_SPECS,
         kernels: Sequence[str] = DEFAULT_KERNELS,
-        max_workers: Optional[int] = None) -> Table4Result:
+        scheduler: Optional[EvaluationScheduler] = None) -> Table4Result:
     """Sweep the structure ladder across kernels.
 
     The context supplies the architecture, overbooking target and suite seed;
     the workloads themselves come from the synthetic structure ladder, one
     canonical :func:`~repro.tensor.suite.synth_suite` evaluated under every
-    kernel in ``kernels`` through one scheduler prefetch.
+    kernel in ``kernels`` through one prefetch of ``scheduler`` (without
+    one, each report is evaluated in-process when first read).
     """
     resolved = synth_specs(specs)
     suite = synth_suite(resolved, seed=context.suite.seed)
@@ -115,9 +117,9 @@ def run(context: ExperimentContext,
         kernel=kernels[0],
     )
     contexts = {kernel: base.with_kernel(kernel) for kernel in kernels}
-    requests = [request for ctx in contexts.values()
-                for request in requests_for_context(ctx)]
-    EvaluationScheduler(max_workers=max_workers).prefetch(requests)
+    if scheduler is not None:
+        scheduler.prefetch([request for ctx in contexts.values()
+                            for request in requests_for_context(ctx)])
 
     rows: List[Table4Row] = []
     for spec in resolved:

@@ -173,18 +173,18 @@ def run(context: ExperimentContext,
         synth: Sequence = DEFAULT_SYNTH,
         manifest: Union[str, None] = None,
         kernels: Sequence[str] = DEFAULT_KERNELS,
-        max_workers: Optional[int] = None,
-        store=None) -> Table5Result:
+        scheduler: Optional[EvaluationScheduler] = None) -> Table5Result:
     """Evaluate all three workload sources under every kernel.
 
     The context supplies the architecture, overbooking target and suite
     seed; the workloads come from the corpus manager (``dlmc`` /
     ``suitesparse`` dataset IDs, resolved through ``manifest`` when given)
     and the synthetic ladder.  Every ``(source, kernel)`` suite evaluation
-    goes through one scheduler prefetch — parallel workers rebuild the
-    corpus suites from their ``("corpus", ...)`` tokens via the shared
-    matrix cache — and through ``store`` when given, so reruns resume
-    warm.
+    goes through one prefetch of ``scheduler`` — parallel workers rebuild
+    the corpus suites from their ``("corpus", ...)`` tokens via the shared
+    matrix cache, and the scheduler's store lets reruns resume warm.
+    Without a scheduler, each report is evaluated in-process when first
+    read.
     """
     suites = _source_suites(context, dlmc, suitesparse, synth, manifest)
 
@@ -201,8 +201,8 @@ def run(context: ExperimentContext,
             ctx = base.with_kernel(kernel)
             contexts[(source, kernel)] = ctx
             requests.extend(requests_for_context(ctx))
-    EvaluationScheduler(max_workers=max_workers,
-                        store=store).prefetch(requests)
+    if scheduler is not None:
+        scheduler.prefetch(requests)
 
     rows: List[Table5Row] = []
     for source, suite in suites:

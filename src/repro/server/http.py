@@ -265,8 +265,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._end_stream()
 
     def _handle_run(self, request: RunRequest) -> None:
-        plan = plan_run(request, store=self.service.store,
-                        max_workers=self.service.scheduler.max_workers)
+        plan = plan_run(request, scheduler=self.service.scheduler)
         ticket = None
         if plan.context is not None:
             ticket = self.service.submit(plan.evaluation_requests())
@@ -290,13 +289,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_search(self, request: SearchRequest) -> None:
         # Runs in this handler thread: generations cannot be coalesced, but
-        # sharing the service's store (and the process cache) still dedups
-        # against everything the fleet has evaluated.
+        # the service's scheduler (its store) and the process cache still
+        # dedup against everything the fleet has evaluated.
         result = search_frontier(
             request.build(),
             **request.search_args(),
-            max_workers=self.service.scheduler.max_workers,
-            store=self.service.store,
+            scheduler=self.service.scheduler,
         )
         self._begin_stream()
         self._stream_event({"event": "result",

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.experiments.runner import clear_process_caches
+from repro.experiments.scheduler import EvaluationScheduler
+from repro.experiments.store import ReportStore
 
 
 class TestList:
@@ -172,10 +176,48 @@ class TestSynthCli:
         err = capsys.readouterr().err
         assert "--synth does not apply" in err
 
-    def test_run_threads_workers_into_self_scheduling_experiments(self, tmp_path):
-        # table4 schedules its own evaluations; --workers must reach it.
-        code = main(["run", "table4", "--quick", "--workers", "1",
+    def test_run_threads_workers_into_self_scheduling_experiments(
+            self, tmp_path, monkeypatch):
+        # table4 and fig14 evaluate their own workload sets; they must do it
+        # through the run's one scheduler, which carries --workers/--store.
+        built, used = [], []
+        make = cli._scheduler_for
+        prefetch = EvaluationScheduler.prefetch
+
+        def recording_make(args):
+            built.append(make(args))
+            return built[-1]
+
+        def recording_prefetch(self, requests, **kwargs):
+            used.append((self, len(requests)))
+            return prefetch(self, requests, **kwargs)
+
+        monkeypatch.setattr(cli, "_scheduler_for", recording_make)
+        monkeypatch.setattr(EvaluationScheduler, "prefetch",
+                            recording_prefetch)
+        clear_process_caches()
+        code = main(["run", "table4", "fig14", "--quick", "--workers", "1",
                      "--output-dir", str(tmp_path)])
         assert code == 0
-        payload = json.loads((tmp_path / "table4.json").read_text())
-        assert payload["params"]["max_workers"] == 1
+        assert len(built) == 1 and built[0].max_workers == 1
+        assert all(scheduler is built[0] for scheduler, _ in used)
+        # The (empty) run prefetch, table4's ladder, fig14's generations.
+        assert sum(count for _, count in used) > 0 and len(used) >= 3
+        for name in ("table4", "fig14"):
+            payload = json.loads((tmp_path / f"{name}.json").read_text())
+            assert "max_workers" not in payload["params"]
+            assert "store" not in payload["params"]
+
+    def test_run_table4_store_persists_and_reruns_warm(self, tmp_path):
+        # --store reaches table4: the ladder's evaluations land in the
+        # store, and an identical rerun adds nothing.
+        argv = ["run", "table4", "--quick", "--workers", "1",
+                "--store", str(tmp_path / "store"), "--no-artifacts",
+                "--quiet"]
+        clear_process_caches()
+        assert main(argv) == 0
+        entries = ReportStore(tmp_path / "store").stats().entries
+        assert entries > 0
+        clear_process_caches()
+        assert main(argv) == 0
+        assert ReportStore(tmp_path / "store").stats().entries == entries

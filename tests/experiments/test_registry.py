@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import registry
 from repro.experiments.runner import ExperimentContext
+from repro.experiments.scheduler import EvaluationScheduler
 
 EXPECTED_NAMES = ["table1", "table2", "table3", "table4", "table5", "fig1",
                   "fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
@@ -45,8 +46,13 @@ class TestCompleteness:
 @pytest.mark.parametrize("name", EXPECTED_NAMES)
 def test_every_experiment_runs_on_the_quick_suite(name, quick_context):
     experiment = registry.get(name)
-    result = experiment.run_quick(
-        quick_context if experiment.needs_context else None)
+    params = dict(experiment.quick_params)
+    # Experiments evaluating their own workload sets take the run's
+    # scheduler (fig14's search needs one).
+    if experiment.accepts_param("scheduler"):
+        params["scheduler"] = EvaluationScheduler(max_workers=1)
+    result = experiment.run(
+        quick_context if experiment.needs_context else None, **params)
     text = experiment.format_result(result)
     assert isinstance(text, str) and text
     # The JSON artifact must serialize with the stock encoder.
@@ -110,6 +116,10 @@ class TestSuiteAndWorkerDeclarations:
         assert registry.get("fig7").uses_context_suite is True
         assert registry.get("fig5").uses_context_suite is False
 
-    def test_self_scheduling_experiments_accept_max_workers(self):
-        assert registry.get("table4").accepts_max_workers is True
-        assert registry.get("fig7").accepts_max_workers is False
+    def test_self_scheduling_take_scheduler(self):
+        taking = {e.name for e in registry.experiments()
+                  if e.accepts_param("scheduler")}
+        assert taking == {"table4", "table5", "fig14"}
+        assert not any(e.accepts_param("max_workers")
+                       or e.accepts_param("store")
+                       for e in registry.experiments())

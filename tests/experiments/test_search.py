@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import registry
 from repro.experiments.runner import ExperimentContext, clear_process_caches
+from repro.experiments.scheduler import EvaluationScheduler
 from repro.experiments.search import (
     DesignConfig,
     dominates,
@@ -20,13 +21,15 @@ from repro.tensor.suite import small_suite
 #: The quick grid the golden assertions run on: small and fully enumerable.
 QUICK_GRID = dict(kernels=("gram",), y_values=(0.05, 0.22),
                   glb_scales=(0.5, 1.0), pe_scales=(1.0,))
+#: Serial, store-less: configuration only, so the tests share one.
+SERIAL = EvaluationScheduler(max_workers=1)
 
 
 @pytest.fixture(scope="module")
 def quick_frontier():
     clear_process_caches()
-    return search_frontier(small_suite(), max_generations=2, max_workers=1,
-                           **QUICK_GRID)
+    return search_frontier(small_suite(), max_generations=2,
+                           scheduler=SERIAL, **QUICK_GRID)
 
 
 class TestDomination:
@@ -83,7 +86,7 @@ class TestSearchFrontier:
     def test_deterministic_across_runs(self, quick_frontier):
         clear_process_caches()
         again = search_frontier(small_suite(), max_generations=2,
-                                max_workers=1, **QUICK_GRID)
+                                scheduler=SERIAL, **QUICK_GRID)
         assert again.points == quick_frontier.points
         assert again.frontier == quick_frontier.frontier
         assert json.dumps(again.to_jsonable()) == \
@@ -109,27 +112,28 @@ class TestSearchFrontier:
     def test_max_generations_one_is_plain_grid(self):
         clear_process_caches()
         result = search_frontier(small_suite(), max_generations=1,
-                                 max_workers=1, **QUICK_GRID)
+                                 scheduler=SERIAL, **QUICK_GRID)
         assert [g.generation for g in result.generations] == [0]
         assert len(result.points) == 4 * 3  # 4 configs x 3 workloads
 
     def test_store_makes_search_resumable(self, tmp_path):
         clear_process_caches()
-        store = ReportStore(tmp_path / "store")
-        first = search_frontier(small_suite(), max_generations=2,
-                                max_workers=1, store=store, **QUICK_GRID)
+        first = search_frontier(
+            small_suite(), max_generations=2, **QUICK_GRID,
+            scheduler=EvaluationScheduler(
+                max_workers=1, store=ReportStore(tmp_path / "store")))
         clear_process_caches()
-        rerun = search_frontier(small_suite(), max_generations=2,
-                                max_workers=1,
-                                store=ReportStore(tmp_path / "store"),
-                                **QUICK_GRID)
+        rerun = search_frontier(
+            small_suite(), max_generations=2, **QUICK_GRID,
+            scheduler=EvaluationScheduler(
+                max_workers=1, store=ReportStore(tmp_path / "store")))
         assert all(g.schedule.computed == 0 for g in rerun.generations)
         assert sum(g.schedule.store_hits for g in rerun.generations) > 0
         assert rerun.points == first.points
 
     def test_rejects_empty_axes_and_suiteless_calls(self):
         with pytest.raises(ValueError, match="axis"):
-            search_frontier(small_suite(), y_values=())
+            search_frontier(small_suite(), y_values=(), scheduler=SERIAL)
         with pytest.raises(TypeError, match="suite"):
             search_frontier()
 
@@ -167,15 +171,17 @@ class TestSearchFrontier:
 
 class TestFig14Experiment:
     def test_registered_with_store_plumbing(self):
+        # The run's scheduler, and with it the store, reaches the search.
         experiment = registry.get("fig14")
-        assert experiment.accepts_store is True
-        assert experiment.accepts_max_workers is True
-        assert experiment.store_scope == "reports"
-        assert registry.get("fig5").store_scope == "none"
+        assert experiment.accepts_param("scheduler")
+        assert not experiment.accepts_param("store")
+        assert not experiment.accepts_param("max_workers")
+        assert not registry.get("fig5").accepts_param("scheduler")
 
     def test_quick_run_produces_frontier(self):
         experiment = registry.get("fig14")
-        result = experiment.run_quick(ExperimentContext.quick())
+        result = experiment.run(ExperimentContext.quick(),
+                                **experiment.quick_params, scheduler=SERIAL)
         assert result.frontier
         text = format_frontier(result)
         assert "Pareto frontier" in text
@@ -189,6 +195,6 @@ class TestFig14Experiment:
                            specs=("uniform:n=200,nnz=1500",),
                            kernels=("gram",), y_values=(0.05,),
                            glb_scales=(1.0,), pe_scales=(1.0,),
-                           max_generations=1, max_workers=1)
+                           max_generations=1, scheduler=SERIAL)
         swept_y = {p.config.overbooking_target for p in result.points}
         assert swept_y == {0.05, 0.17}

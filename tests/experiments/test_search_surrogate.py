@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.runner import clear_process_caches
+from repro.experiments.scheduler import EvaluationScheduler
 from repro.experiments.search import search_frontier
 from repro.experiments.store import ReportStore
 from repro.experiments.surrogate import parse_constraint, pe_area_words
@@ -28,7 +29,12 @@ from repro.tensor.suite import small_suite
 #: to reproduce the brute-force frontier exactly.
 GOLDEN_GRID = dict(kernels=("gram",), y_values=(0.02, 0.05, 0.10, 0.22),
                    glb_scales=(0.4, 0.7, 1.0, 1.5), pe_scales=(0.5, 1.0, 2.0),
-                   max_generations=3, max_evaluations=100000, max_workers=1)
+                   max_generations=3, max_evaluations=100000,
+                   scheduler=EvaluationScheduler(max_workers=1))
+
+
+#: Serial, store-less: configuration only, so the tests share one.
+SERIAL = GOLDEN_GRID["scheduler"]
 
 
 def _frontier_signature(result):
@@ -98,7 +104,7 @@ class TestConstraints:
         reference = search_frontier(
             small_suite(), kernels=("gram",), y_values=(0.05, 0.22),
             glb_scales=(0.5, 1.0), pe_scales=(1.0,), max_generations=2,
-            max_workers=1)
+            scheduler=SERIAL)
         traffic_bound = traffic_scale * max(
             p.dram_words for p in reference.frontier)
         energy_bound = energy_scale * max(
@@ -111,7 +117,7 @@ class TestConstraints:
         result = search_frontier(
             small_suite(), kernels=("gram",), y_values=(0.05, 0.22),
             glb_scales=(0.5, 1.0), pe_scales=(1.0,), max_generations=2,
-            max_workers=1, constraints=constraints)
+            scheduler=SERIAL, constraints=constraints)
         assert result.constraints == [
             parse_constraint(text).label for text in constraints]
         for point in result.frontier:
@@ -122,14 +128,14 @@ class TestConstraints:
         unconstrained = search_frontier(
             small_suite(), kernels=("gram",), y_values=(0.05, 0.22),
             glb_scales=(0.5, 1.0), pe_scales=(0.5, 1.0, 2.0),
-            max_generations=1, max_workers=1)
+            max_generations=1, scheduler=SERIAL)
         base = scaled_default_config()
         # A bound that admits pe_scale <= 1.0 but rejects 2.0.
         bound = pe_area_words(base) * 1.5
         constrained = search_frontier(
             small_suite(), kernels=("gram",), y_values=(0.05, 0.22),
             glb_scales=(0.5, 1.0), pe_scales=(0.5, 1.0, 2.0),
-            max_generations=1, max_workers=1,
+            max_generations=1, scheduler=SERIAL,
             constraints=[f"pe_area<={bound:g}"])
         assert _evaluated_configs(constrained) < _evaluated_configs(unconstrained)
         assert all(p.config.pe_scale <= 1.0 for p in constrained.points)
@@ -138,7 +144,7 @@ class TestConstraints:
         result = search_frontier(
             small_suite(), kernels=("gram",), y_values=(0.05, 0.22),
             glb_scales=(0.5, 1.0), pe_scales=(1.0,), max_generations=2,
-            max_workers=1, constraints=["traffic<=1"])
+            scheduler=SERIAL, constraints=["traffic<=1"])
         assert result.frontier == []
         assert len(result.points) > 0  # evaluations still happened + reported
 
@@ -153,14 +159,14 @@ class TestWarmResearch:
         evaluations and reproduces the cold run byte-for-byte."""
         grid = dict(kernels=("gram",), y_values=y_values,
                     glb_scales=(0.5, 1.0), pe_scales=(0.5, 1.0),
-                    max_generations=2, max_workers=1,
-                    use_surrogate=use_surrogate)
+                    max_generations=2, use_surrogate=use_surrogate)
         with tempfile.TemporaryDirectory() as tmp:
-            store = ReportStore(Path(tmp) / "store")
+            scheduler = EvaluationScheduler(
+                max_workers=1, store=ReportStore(Path(tmp) / "store"))
             clear_process_caches()
-            cold = search_frontier(small_suite(), store=store, **grid)
+            cold = search_frontier(small_suite(), scheduler=scheduler, **grid)
             clear_process_caches()  # drop the in-process memo: store only
-            warm = search_frontier(small_suite(), store=store, **grid)
+            warm = search_frontier(small_suite(), scheduler=scheduler, **grid)
         assert all(s.schedule.computed == 0 for s in warm.generations)
         assert sum(s.schedule.store_hits for s in warm.generations) > 0
         assert json.dumps(cold.to_jsonable(), sort_keys=True) \

@@ -102,16 +102,15 @@ class TestResume:
         with pytest.raises(ValueError, match="store"):
             sweep_grid(small_suite(), y_values=(0.10,), resume=True)
 
-    def test_store_used_without_mutating_caller_scheduler(self, tmp_path):
-        clear_process_caches()
+    def test_scheduler_with_max_workers_or_store_is_refused(self, tmp_path):
+        # A scheduler already decides the workers and the store.
         scheduler = EvaluationScheduler(max_workers=1)
         store = ReportStore(tmp_path / "store")
-        sweep_grid(small_suite(), y_values=(0.10,), scheduler=scheduler,
-                   store=store)
-        # The store was honored for this call, but the caller's scheduler
-        # was not permanently repointed at it.
-        assert store.stats().entries == 3
-        assert scheduler.store is None
+        for extra in ({"store": store}, {"max_workers": 1}):
+            with pytest.raises(ValueError, match="not both"):
+                sweep_grid(small_suite(), y_values=(0.10,),
+                           scheduler=scheduler, **extra)
+        assert store.stats().entries == 0
 
 
 class TestOverwriteGuard:

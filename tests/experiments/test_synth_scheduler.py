@@ -91,7 +91,7 @@ class TestSynthSweepParallel:
         clear_process_caches()
         serial = sweep_grid(synth_suite(SPECS), max_workers=1, **grid)
         clear_process_caches()
-        parallel = sweep_grid(synth_suite(SPECS), max_workers=2,
+        parallel = sweep_grid(synth_suite(SPECS),
                               scheduler=EvaluationScheduler(
                                   max_workers=2, min_parallel_requests=1),
                               **grid)

@@ -331,8 +331,8 @@ class TestByteIdentity:
     def test_run_endpoint_matches_cli_artifact_payload(
             self, live_server, tmp_path, capsys):
         """``/run`` artifacts equal the CLI's, apart from the wall-clock
-        ``seconds`` and the daemon's own worker budget.  The CLI is given
-        ``--suite quick``, the daemon's default."""
+        ``seconds``.  The CLI is given ``--suite quick``, the daemon's
+        default."""
         client, _store = live_server
         cases = [
             (["table2"], {}, []),
@@ -351,9 +351,17 @@ class TestByteIdentity:
                 cli_payload = json.loads(
                     (out_dir / f"{name}.json").read_text())
                 del cli_payload["seconds"]
-                for payload in (served[name], cli_payload):
-                    payload["params"].pop("max_workers", None)
                 assert served[name] == cli_payload, (names, body)
+
+    def test_run_endpoint_persists_self_scheduled_evaluations(
+            self, live_server):
+        """table4 evaluates its own ladder through the daemon's scheduler,
+        so the daemon's store keeps what it computed."""
+        client, store = live_server
+        outcome = client.run(["table4"])
+        assert [event["payload"]["experiment"] for event in outcome.events
+                if event["event"] == "artifact"] == ["table4"]
+        assert store.stats().entries > 0
 
 
 class TestGracefulShutdown:
