@@ -483,40 +483,41 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     request = _request(RunRequest, args)
-    plan = plan_run(request, scheduler=_scheduler_for(args))
-    for warning in plan.warnings:
-        print(f"[warning] {warning}", file=sys.stderr)
+    with _scheduler_for(args) as scheduler:
+        plan = plan_run(request, scheduler=scheduler)
+        for warning in plan.warnings:
+            print(f"[warning] {warning}", file=sys.stderr)
 
-    start = time.perf_counter()
-    summary = format_schedule(
-        plan.scheduler.prefetch(plan.evaluation_requests()))
-    if summary:
-        print(f"[scheduler] {summary} in {time.perf_counter() - start:.2f}s",
-              file=sys.stderr)
+        start = time.perf_counter()
+        summary = format_schedule(
+            scheduler.prefetch(plan.evaluation_requests()))
+        if summary:
+            print(f"[scheduler] {summary} in "
+                  f"{time.perf_counter() - start:.2f}s", file=sys.stderr)
 
-    output_dir: Optional[Path] = None if args.no_artifacts else args.output_dir
-    if output_dir is not None:
-        output_dir.mkdir(parents=True, exist_ok=True)
-
-    manifest = []
-    for experiment in plan.experiments:
-        run_start = time.perf_counter()
-        result = plan.run(experiment)
-        elapsed = time.perf_counter() - run_start
-        if not args.quiet:
-            print(experiment.format_result(result))
-            print()
+        output_dir = None if args.no_artifacts else args.output_dir
         if output_dir is not None:
-            artifact_path = output_dir / f"{experiment.name}.json"
-            payload = artifact_payload(plan, experiment, result,
-                                       seconds=round(elapsed, 4))
-            artifact_path.write_text(json.dumps(payload, indent=2) + "\n")
-            manifest.append({"experiment": experiment.name,
-                             "artifact": experiment.artifact,
-                             "path": artifact_path.name,
-                             "seconds": round(elapsed, 4)})
-        print(f"[{experiment.name}] {experiment.artifact} regenerated "
-              f"in {elapsed:.2f}s", file=sys.stderr)
+            output_dir.mkdir(parents=True, exist_ok=True)
+
+        manifest = []
+        for experiment in plan.experiments:
+            run_start = time.perf_counter()
+            result = plan.run(experiment)
+            elapsed = time.perf_counter() - run_start
+            if not args.quiet:
+                print(experiment.format_result(result))
+                print()
+            if output_dir is not None:
+                artifact_path = output_dir / f"{experiment.name}.json"
+                payload = artifact_payload(plan, experiment, result,
+                                           seconds=round(elapsed, 4))
+                artifact_path.write_text(json.dumps(payload, indent=2) + "\n")
+                manifest.append({"experiment": experiment.name,
+                                 "artifact": experiment.artifact,
+                                 "path": artifact_path.name,
+                                 "seconds": round(elapsed, 4)})
+            print(f"[{experiment.name}] {experiment.artifact} regenerated "
+                  f"in {elapsed:.2f}s", file=sys.stderr)
 
     if output_dir is not None:
         manifest_path = output_dir / "manifest.json"
@@ -582,12 +583,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                    "interrupted sweep)")
 
     start = time.perf_counter()
-    result = sweep_grid(
-        request.build(),
-        **request.grid_args(),
-        scheduler=_scheduler_for(args),
-        resume=args.resume,
-    )
+    with _scheduler_for(args) as scheduler:
+        result = sweep_grid(
+            request.build(),
+            **request.grid_args(),
+            scheduler=scheduler,
+            resume=args.resume,
+        )
     print(format_summaries(result))
     resumed = (f" ({result.schedule.store_hits} cell(s) resumed from the "
                f"store)" if result.schedule.store_hits else "")
@@ -603,11 +605,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     _refuse_clobber(args, "frontier")
 
     start = time.perf_counter()
-    result = search_frontier(
-        request.build(),
-        **request.search_args(),
-        scheduler=_scheduler_for(args),
-    )
+    with _scheduler_for(args) as scheduler:
+        result = search_frontier(
+            request.build(),
+            **request.search_args(),
+            scheduler=scheduler,
+        )
     print(format_frontier(result))
     pruned = sum(stats.pruned_configs for stats in result.generations)
     pruned_note = f" ({pruned} configs skipped by the surrogate)" if pruned else ""

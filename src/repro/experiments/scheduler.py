@@ -11,12 +11,13 @@ that into a batch problem:
    the process cache (:data:`repro.experiments.runner.CACHE`); experiments
    sharing evaluations (Figs. 7/8/9, every sweep point at the default ``y``)
    cost one evaluation.
-3. **Fan out** — evaluate the cold requests on a
-   :class:`~concurrent.futures.ProcessPoolExecutor`.  A request is picklable
-   because it carries the suite's *token*, not the suite: workers rebuild
-   suites from seeds via :func:`repro.tensor.suite.suite_from_token` into
-   their own copy of the cache, which keeps them (plus their evaluators and
-   matrix/tiling caches) alive for the life of the worker.
+3. **Fan out** — evaluate the cold requests on the scheduler's one
+   :class:`~concurrent.futures.ProcessPoolExecutor`, kept until
+   :meth:`EvaluationScheduler.close`.  A request carries the suite's
+   *token*, not the suite: workers rebuild suites from seeds via
+   :func:`repro.tensor.suite.suite_from_token` into their own copy of the
+   cache, which keeps them (plus their evaluators and matrix/tiling caches)
+   warm for the life of the pool.
 4. **Merge** — per-variant reports come back pickled and are merged into the
    parent's cache, so the experiments afterwards run serially against warm
    caches.
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -89,9 +92,7 @@ class ScheduleStats:
     ``batch_groups`` counts the ``(suite, kernel, workload)`` groups the
     cold requests collapsed into, one :mod:`repro.model.batch` evaluation
     each; ``batched`` is always ``True`` (every cold request takes that
-    path) and stays in the record for its existing readers;
-    ``shm_segments`` counts suites shipped to workers via shared memory
-    (:mod:`repro.tensor.shm`) instead of per-worker rebuilds.
+    path) and stays in the record for its existing readers.
     ``pool_restarts`` / ``degraded_serial`` record worker-pool crash
     recovery (see :meth:`EvaluationScheduler.prefetch`) — run-dependent
     ephemera, like every other field here, and therefore excluded from all
@@ -109,7 +110,6 @@ class ScheduleStats:
     degraded_serial: bool = False
     batched: bool = True
     batch_groups: int = 0
-    shm_segments: int = 0
 
 
 def format_schedule(stats: ScheduleStats) -> str:
@@ -184,14 +184,6 @@ def _evaluate_request_group(
     return list(zip(unit, reports))
 
 
-def _attach_worker_suites(manifests) -> None:
-    """Pool initializer: attach shared-memory suites before any request runs."""
-    from repro.tensor import shm
-
-    for manifest in manifests:
-        shm.attach_suite(manifest)
-
-
 # --------------------------------------------------------------------- #
 # Parent side
 # --------------------------------------------------------------------- #
@@ -215,9 +207,11 @@ class EvaluationScheduler:
     Cold requests are grouped by ``(suite, kernel, workload)`` and each
     group is evaluated by one vectorized grid evaluator
     (:mod:`repro.model.batch`), so shared tilings and scaffolding are
-    computed once per group.  Pool workers receive their suites through one
-    shared-memory segment (:mod:`repro.tensor.shm`) instead of rebuilding
-    them from seeds, falling back transparently when that is unavailable.
+    computed once per group.
+
+    The worker pool lives as long as the scheduler: :meth:`close` (or
+    leaving a ``with`` block) shuts it down, and so does garbage-collecting
+    a scheduler that was never closed.
     """
 
     def __init__(self, max_workers: Optional[int] = None, *,
@@ -227,6 +221,41 @@ class EvaluationScheduler:
         self.max_workers = max(1, int(max_workers))
         self.min_parallel_requests = max(1, int(min_parallel_requests))
         self.store = store
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._shutdown_pool: Optional[weakref.finalize] = None
+        # Handler threads of the evaluation service share one scheduler
+        # with its loop; pool creation and replacement happen under this.
+        self._pool_lock = threading.Lock()
+
+    def __enter__(self) -> "EvaluationScheduler":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the worker pool down and wait for its workers to exit.
+        Idempotent; a later pooled prefetch starts a new pool."""
+        self._discard_pool(self._pool)
+
+    def _executor(self) -> ProcessPoolExecutor:
+        """The worker pool, started on first use."""
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+                # Called by close(), or when the scheduler is collected.
+                self._shutdown_pool = weakref.finalize(
+                    self, self._pool.shutdown)
+            return self._pool
+
+    def _discard_pool(self, pool: Optional[ProcessPoolExecutor]) -> None:
+        """Shut ``pool`` down, unless another thread already replaced it."""
+        with self._pool_lock:
+            if pool is None or pool is not self._pool:
+                return
+            self._pool = None
+            shutdown = self._shutdown_pool
+        shutdown()
 
     # ------------------------------------------------------------------ #
     def prefetch(self, requests: Sequence[EvaluationRequest], *,
@@ -314,7 +343,6 @@ class EvaluationScheduler:
 
         pool_restarts = 0
         degraded_serial = False
-        shm_segments = 0
         workers = min(self.max_workers, len(units))
         if workers <= 1 or len(cold) < self.min_parallel_requests:
             for unit in units:
@@ -322,81 +350,49 @@ class EvaluationScheduler:
                     merge(request, reports)
             workers = min(workers, 1)
         else:
-            # Ship each suite to the workers once, through shared memory —
-            # O(1) in suite bytes instead of one rebuild per worker.  Pairs
-            # are exported only when some cold kernel streams them.
-            from repro.tensor import shm
-            from repro.tensor.kernels import kernel_spec
-
-            manifests = []
-            exported_tokens = []
-            needs_pair: Dict[tuple, bool] = {}
-            names_by_token: Dict[tuple, Dict[str, None]] = {}
-            for request in cold:
-                token = request.suite_token
-                names_by_token.setdefault(token, {})[request.workload] = None
-                needs_pair[token] = (
-                    needs_pair.get(token, False)
-                    or kernel_spec(request.kernel).needs_paired_operand)
-            for token, names in names_by_token.items():
-                manifest = shm.export_suite(
-                    token, list(names), include_pairs=needs_pair[token])
-                if manifest is not None:
-                    manifests.append(manifest)
-                    exported_tokens.append(token)
-            shm_segments = len(manifests)
-            initializer = _attach_worker_suites if manifests else None
-            initargs = (tuple(manifests),) if manifests else ()
-
             # A worker dying (OOM kill, segfault, node eviction) surfaces as
             # BrokenProcessPool with everything in flight lost.  The batch is
             # pure and resumable, so recover instead of crashing the sweep:
-            # respawn the pool once and retry what never merged; if the pool
+            # replace the pool once and retry what never merged; if the pool
             # breaks again, degrade to in-process evaluation — slow beats
-            # dead, and every result merged so far is kept either way.
-            try:
-                pending = list(units)
-                while pending:
-                    chunksize = max(1, -(-len(pending) // (workers * 4)))
-                    try:
-                        with ProcessPoolExecutor(
-                                max_workers=workers,
-                                initializer=initializer,
-                                initargs=initargs) as executor:
-                            for results in executor.map(
-                                    _evaluate_request_group, pending,
-                                    chunksize=chunksize):
-                                for request, reports in results:
-                                    merge(request, reports)
+            # dead, and every result merged so far is kept either way.  The
+            # next pooled prefetch starts a fresh pool.
+            pending = list(units)
+            while pending:
+                pool = self._executor()
+                chunksize = max(1, -(-len(pending) // (workers * 4)))
+                try:
+                    for results in pool.map(_evaluate_request_group, pending,
+                                            chunksize=chunksize):
+                        for request, reports in results:
+                            merge(request, reports)
+                    pending = []
+                except BrokenProcessPool:
+                    self._discard_pool(pool)
+                    pending = [
+                        unit for unit in
+                        (tuple(request for request in unit
+                               if request.memo_key not in merged_keys)
+                         for unit in pending)
+                        if unit]
+                    remaining = sum(len(unit) for unit in pending)
+                    pool_restarts += 1
+                    if pool_restarts > 1:
+                        print(f"[scheduler] worker pool broke twice; "
+                              f"degrading to serial in-process evaluation "
+                              f"of the remaining {remaining} request(s)",
+                              file=sys.stderr)
+                        for unit in pending:
+                            results = _evaluate_request_group(unit)
+                            for request, reports in results:
+                                merge(request, reports)
                         pending = []
-                    except BrokenProcessPool:
-                        pending = [
-                            unit for unit in
-                            (tuple(request for request in unit
-                                   if request.memo_key not in merged_keys)
-                             for unit in pending)
-                            if unit]
-                        remaining = sum(len(unit) for unit in pending)
-                        pool_restarts += 1
-                        if pool_restarts > 1:
-                            print(f"[scheduler] worker pool broke twice; "
-                                  f"degrading to serial in-process evaluation "
-                                  f"of the remaining {remaining} request(s)",
-                                  file=sys.stderr)
-                            for unit in pending:
-                                results = _evaluate_request_group(unit)
-                                for request, reports in results:
-                                    merge(request, reports)
-                            pending = []
-                            degraded_serial = True
-                        else:
-                            print(f"[scheduler] worker pool broke (a worker "
-                                  f"died, e.g. OOM-killed); respawning the "
-                                  f"pool to retry the remaining {remaining} "
-                                  f"request(s)", file=sys.stderr)
-            finally:
-                for token in exported_tokens:
-                    shm.release_suite(token)
+                        degraded_serial = True
+                    else:
+                        print(f"[scheduler] worker pool broke (a worker "
+                              f"died, e.g. OOM-killed); respawning the "
+                              f"pool to retry the remaining {remaining} "
+                              f"request(s)", file=sys.stderr)
 
         return ScheduleStats(
             requested=len(requests),
@@ -409,7 +405,6 @@ class EvaluationScheduler:
             pool_restarts=pool_restarts,
             degraded_serial=degraded_serial,
             batch_groups=len(units),
-            shm_segments=shm_segments,
         )
 
     def prefetch_context(

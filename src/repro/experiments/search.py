@@ -309,7 +309,6 @@ def _merged_schedule(batches: Sequence[ScheduleStats]) -> ScheduleStats:
         pool_restarts=sum(stats.pool_restarts for stats in batches),
         degraded_serial=any(stats.degraded_serial for stats in batches),
         batch_groups=sum(stats.batch_groups for stats in batches),
-        shm_segments=sum(stats.shm_segments for stats in batches),
     )
 
 

@@ -466,8 +466,8 @@ def sweep_grid(suite: WorkloadSuite, *,
     artifacts) or real matrices
     (:func:`~repro.tensor.corpus.corpus_workload_suite`).  All grid points
     are batched through one prefetch of ``scheduler``, or of one built from
-    ``max_workers`` and ``store`` (passing both kinds is a ``ValueError``);
-    ``max_workers=1`` forces serial evaluation.
+    ``max_workers`` and ``store`` (passing both kinds is a ``ValueError``)
+    and closed on return; ``max_workers=1`` forces serial evaluation.
 
     A store (a :class:`~repro.experiments.store.ReportStore`, given directly
     or carried by ``scheduler``) makes the sweep durable: each cell is
@@ -481,8 +481,11 @@ def sweep_grid(suite: WorkloadSuite, *,
     workload)`` instead of one per cell.
     """
     if scheduler is None:
-        scheduler = EvaluationScheduler(max_workers=max_workers, store=store)
-    elif max_workers is not None or store is not None:
+        with EvaluationScheduler(max_workers=max_workers,
+                                 store=store) as scheduler:
+            return sweep_grid(suite, scheduler=scheduler, resume=resume,
+                              **grid)
+    if max_workers is not None or store is not None:
         raise ValueError("pass a scheduler or max_workers/store, not both")
     store = scheduler.store
     if resume and store is None:

@@ -28,14 +28,14 @@ millions-of-users north star).
   climbs.
 
 Serializing passes through one loop thread is a feature, not a limitation:
-the scheduler's fan-out machinery (process pools, shared-memory suite
-export) was built for one driving thread, and a resident service gets its
-concurrency from coalescing — many clients, one pass — not from racing
-passes against each other.
+a resident service gets its concurrency from coalescing — many clients, one
+pass — not from racing passes against each other.  The scheduler's worker
+pool lives as long as the service, so its workers keep their evaluators
+warm from pass to pass.
 
 :meth:`EvaluationService.close` with ``drain=True`` (the default) finishes
 every queued ticket before returning, which is what makes the HTTP layer's
-graceful shutdown graceful.
+graceful shutdown graceful, then shuts the scheduler's worker pool down.
 """
 
 from __future__ import annotations
@@ -237,8 +237,8 @@ class EvaluationService:
     def close(self, *, drain: bool = True) -> None:
         """Stop the service.  ``drain=True`` finishes every queued ticket
         first; ``False`` fails them fast with an ``error`` event.  New
-        :meth:`submit` calls raise :class:`ServiceClosed` either way.
-        Idempotent."""
+        :meth:`submit` calls raise :class:`ServiceClosed` either way.  The
+        scheduler's worker pool is shut down last.  Idempotent."""
         with self._lock:
             if self._closed:
                 already = True
@@ -255,6 +255,7 @@ class EvaluationService:
             # Never started (auto_start=False): settle the queue in-line so
             # close() keeps its drain contract without a loop thread.
             self._settle_queue(drain)
+        self.scheduler.close()
 
     # ------------------------------------------------------------------ #
     # The service loop

@@ -44,11 +44,9 @@ def position_space_tiling(matrix: SparseMatrix, capacity: int, *,
         B traversal for each tile of A"), and recorded in the tiling tax.
     """
     check_positive_int(capacity, "capacity")
+    # CSR order: SparseMatrix keeps its indices sorted, so the coordinates
+    # are already row-major.
     rows, cols = matrix.coordinates()
-    # CSR order: already sorted by row, then column.
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
 
     nnz = len(rows)
     starts = np.arange(0, nnz, capacity, dtype=np.int64)

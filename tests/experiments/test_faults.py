@@ -113,21 +113,16 @@ class _FlakyPool:
     """Stands in for ProcessPoolExecutor; breaks on request, serial otherwise."""
 
     breaks_remaining = 0
+    #: Every pool constructed since the fixture reset it.
+    created = []
 
-    def __init__(self, max_workers=None, initializer=None, initargs=()):
+    def __init__(self, max_workers=None):
         self.max_workers = max_workers
-        # The shared-memory attach initializer is exercised against a real
-        # pool in tests/experiments/test_sweep_batch.py; this in-process
-        # stand-in runs with the parent's caches already warm, so calling
-        # it here would only re-attach the parent's own segment.
-        self.initializer = initializer
-        self.initargs = initargs
+        self.shut_down = False
+        _FlakyPool.created.append(self)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shut_down = True
 
     def map(self, fn, items, chunksize=1):
         for index, item in enumerate(items):
@@ -143,6 +138,7 @@ class TestBrokenPoolRecovery:
         monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor",
                             _FlakyPool)
         _FlakyPool.breaks_remaining = 0
+        _FlakyPool.created = []
         yield
 
     def _cold_requests(self, test_suite):
@@ -176,3 +172,20 @@ class TestBrokenPoolRecovery:
         stats = EvaluationScheduler(max_workers=2,
                                     min_parallel_requests=2).prefetch(requests)
         assert stats.pool_restarts == 0 and not stats.degraded_serial
+
+    def test_next_prefetch_after_a_break_gets_a_new_pool(self, test_suite):
+        scheduler = EvaluationScheduler(max_workers=2, min_parallel_requests=2)
+        _FlakyPool.breaks_remaining = 2
+        scheduler.prefetch(self._cold_requests(test_suite))
+        broken = list(_FlakyPool.created)
+        assert len(broken) == 2 and all(pool.shut_down for pool in broken)
+
+        requests = self._cold_requests(test_suite)
+        stats = scheduler.prefetch(requests)
+        assert stats.pool_restarts == 0 and not stats.degraded_serial
+        assert stats.computed == len(requests)
+        assert all(r.memo_key in CACHE.reports for r in requests)
+        fresh = _FlakyPool.created[2:]
+        assert len(fresh) == 1 and not fresh[0].shut_down
+        scheduler.close()
+        assert fresh[0].shut_down

@@ -1,7 +1,9 @@
 """Tests for position-space (uniform occupancy) tiling."""
 
+import numpy as np
 import pytest
 
+from repro.tensor.sparse import SparseMatrix
 from repro.tiling.position import position_space_tiling
 
 
@@ -52,3 +54,35 @@ class TestPositionSpaceTiling:
         tiling = position_space_tiling(tiny_dense_matrix, 1000)
         assert tiling.num_tiles == 1
         assert tiling[0].occupancy == tiny_dense_matrix.nnz
+
+
+def _lexsorted_reference(matrix, capacity):
+    """PST over explicitly lexsorted coordinates (the tiling's contract)."""
+    rows, cols = matrix.coordinates()
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    starts = np.arange(0, len(rows), capacity)
+    return (np.diff(np.append(starts, len(rows))),
+            np.minimum.reduceat(rows, starts),
+            np.maximum.reduceat(rows, starts) + 1,
+            np.minimum.reduceat(cols, starts),
+            np.maximum.reduceat(cols, starts) + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shuffled_coo_input_tiles_like_lexsorted_reference(seed):
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(120 * 90, size=700, replace=False)
+    rows, cols = np.divmod(rng.permutation(flat), 90)
+    matrix = SparseMatrix.from_coo(rows, cols, None, (120, 90))
+
+    got_rows, got_cols = matrix.coordinates()
+    keys = got_rows * 90 + got_cols
+    assert np.all(np.diff(keys) > 0)  # strictly row-major
+
+    capacity = 64
+    tiling = position_space_tiling(matrix, capacity)
+    expected = _lexsorted_reference(matrix, capacity)
+    np.testing.assert_array_equal(tiling.occupancies(), expected[0])
+    for got, want in zip(tiling.bound_arrays(), expected[1:]):
+        np.testing.assert_array_equal(got, want)
