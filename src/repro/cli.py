@@ -68,7 +68,8 @@ JSON bodies into the same dataclasses): a kernel axis (``--kernel``; see
 :mod:`repro.tensor.kernels`) over a built-in suite, MatrixMarket files
 (``--matrix``), corpus-managed datasets (``--corpus``; see
 :mod:`repro.tensor.corpus`) or sparsity models (``--synth``; see
-:mod:`repro.tensor.synth`).  A value the schema refuses prints one
+:mod:`repro.tensor.synth`).  A value the schema refuses, a ``--workers``
+below 1 or a negative or non-finite ``--batch-window`` prints one
 ``error:`` line and exits 2.  ``--store DIR`` serves and persists
 evaluations through the on-disk report store.
 
@@ -186,6 +187,13 @@ def _store_for(args: argparse.Namespace) -> Optional[ReportStore]:
     if getattr(args, "store", None) is None:
         return None
     return ReportStore(args.store)
+
+
+def _check_workers(args: argparse.Namespace) -> None:
+    """Refuse a ``--workers`` the scheduler would silently raise to 1."""
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        raise RequestError(f"--workers must be at least 1, got {workers}")
 
 
 def _scheduler_for(args: argparse.Namespace) -> EvaluationScheduler:
@@ -656,10 +664,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.http import serve as run_server
 
     store = _store_for(args)
-    server = create_server(
-        host=args.host, port=args.port, store=store,
-        max_workers=args.workers,
-        batch_window=args.batch_window, verbose=args.verbose)
+    try:
+        server = create_server(
+            host=args.host, port=args.port, store=store,
+            max_workers=args.workers,
+            batch_window=args.batch_window, verbose=args.verbose)
+    except ValueError as error:  # the service refuses the window
+        raise RequestError(f"--batch-window: {error}") from None
     host, port = server.server_address[:2]
     store_note = str(store.root) if store is not None else "none (in-memory)"
     print(f"[server] serving on http://{host}:{port} "
@@ -754,6 +765,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "search": _cmd_search, "serve": _cmd_serve,
                 "store": _cmd_store, "corpus": _cmd_corpus}
     try:
+        _check_workers(args)
         return handlers[args.command](args)
     except (RequestError, StoreError, corpus_manager.CorpusError) as error:
         # Bad requests, schema mismatches, corrupt or missing stores,

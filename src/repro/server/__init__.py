@@ -7,7 +7,7 @@ Three layers, importable separately:
 * :mod:`repro.server.http` — the stdlib HTTP front end
   (:func:`create_server` / :func:`serve`) streaming chunked JSON lines.
 * :mod:`repro.server.client` — the stdlib client (:class:`ServerClient`)
-  used by tests, CI, and the load generator.
+  used by tests, CI and the repository benchmark.
 """
 
 from repro.server.client import ServerClient, StreamOutcome, artifact_bytes

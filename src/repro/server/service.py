@@ -41,6 +41,7 @@ graceful shutdown graceful, then shuts the scheduler's worker pool down.
 from __future__ import annotations
 
 import dataclasses
+import math
 import queue
 import threading
 import time
@@ -177,7 +178,8 @@ class EvaluationService:
     batch_window:
         Seconds the loop waits after the first ticket of a pass for more
         tickets to coalesce with it.  ``0`` disables waiting (each pass
-        takes whatever is queued at that instant).
+        takes whatever is queued at that instant); a negative or non-finite
+        window raises :class:`ValueError`.
     auto_start:
         ``False`` leaves the loop unstarted; tests then drive passes
         deterministically with :meth:`step`.
@@ -186,10 +188,14 @@ class EvaluationService:
     def __init__(self, *, store=None, max_workers: Optional[int] = None,
                  batch_window: float = DEFAULT_BATCH_WINDOW,
                  auto_start: bool = True):
+        batch_window = float(batch_window)
+        if not (math.isfinite(batch_window) and batch_window >= 0):
+            raise ValueError("the batch window must be a finite number of "
+                             f"seconds >= 0, got {batch_window}")
         self.store = store
         self.scheduler = EvaluationScheduler(
             max_workers=max_workers, store=store)
-        self.batch_window = max(0.0, float(batch_window))
+        self.batch_window = batch_window
         self.counters = ServiceCounters()
         self._queue: "queue.Queue" = queue.Queue()
         self._lock = threading.Lock()

@@ -106,18 +106,32 @@ class TestSweep:
 
 class TestRequestErrors:
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--suite", "quick", "--workloads", "nope"],
-        ["sweep", "--suite", "quick", "--y", ""],
-        ["search", "--generations", "0"],
-        ["search", "--surrogate-budget", "2"],
-        ["run", "fig7", "--overbooking-target", "-1"],
-        ["run", "nonesuch"],
+        ["sweep", "--suite", "quick", "--workloads", "nope", "--no-artifacts"],
+        ["sweep", "--suite", "quick", "--y", "", "--no-artifacts"],
+        ["search", "--generations", "0", "--no-artifacts"],
+        ["search", "--surrogate-budget", "2", "--no-artifacts"],
+        ["run", "fig7", "--overbooking-target", "-1", "--no-artifacts"],
+        ["run", "nonesuch", "--no-artifacts"],
+        ["sweep", "--suite", "quick", "--workers", "0", "--no-artifacts"],
+        ["run", "fig7", "--workers", "-3", "--no-artifacts"],
+        ["search", "--workers", "0", "--no-artifacts"],
+        ["serve", "--port", "0", "--workers", "0"],
+        ["serve", "--port", "0", "--batch-window", "inf"],
+        ["serve", "--port", "0", "--batch-window", "nan"],
+        ["serve", "--port", "0", "--batch-window", "-1"],
     ], ids=["unknown-workload", "empty-y", "zero-generations",
             "surrogate-budget-above-1", "negative-target",
-            "unknown-experiment"])
-    def test_bad_request_exits_2_with_an_error_line(self, capsys, argv):
-        """The schema's RequestError is a usage error, not a traceback."""
-        assert main([*argv, "--no-artifacts"]) == 2
+            "unknown-experiment", "sweep-zero-workers",
+            "run-negative-workers", "search-zero-workers",
+            "serve-zero-workers", "infinite-batch-window",
+            "nan-batch-window", "negative-batch-window"])
+    def test_bad_request_exits_2_with_an_error_line(self, capsys,
+                                                    monkeypatch, argv):
+        """The schema's RequestError is a usage error, not a traceback.  A
+        ``serve`` that wrongly got past its checks stops at once."""
+        monkeypatch.setattr("repro.server.http.serve",
+                            lambda server: server.server_close())
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:"), err
         assert "Traceback" not in err

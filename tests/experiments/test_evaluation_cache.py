@@ -107,3 +107,23 @@ def test_clear_process_caches_empties_every_tier(work):
     assert CACHE.evaluators == {}
     assert CACHE.reports == {}
     assert shared_matrix_cache_size() == 0
+
+
+def test_warm_full_context_adds_nothing(work):
+    """A second full context after one ``all_reports()`` is pure cache
+    reads: the same report objects, and no new cache entry, evaluator,
+    operation count or tiling."""
+    first = ExperimentContext.full().all_reports()
+    tiers = (CACHE.suites, CACHE.evaluators, CACHE.reports)
+    sizes = [len(tier) for tier in tiers]
+    built = dict(work)
+    assert sizes == [1, 22, 22]
+    assert built["evaluators"] == built["operation_counts"] == 22
+    assert built["fixed_tilings"] > 0 and built["ob_tilings"] > 0
+
+    reports = ExperimentContext.full().all_reports()
+    assert len(reports) == 22
+    assert all(len(per_variant) == 3 for per_variant in reports.values())
+    assert all(reports[name] is first[name] for name in first)
+    assert [len(tier) for tier in tiers] == sizes
+    assert dict(work) == built

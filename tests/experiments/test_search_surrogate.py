@@ -5,7 +5,9 @@ The golden grid below is one of the validated benchmark grids: surrogate
 ranking reproduces the brute-force frontier exactly while evaluating far
 fewer configurations.  That equality is an empirical, grid-level property
 (the landscape's plateau ties make it impossible to guarantee for free) —
-which is exactly why it is pinned here.
+which is exactly why it is pinned here, at 3 and at 4 generations.  At 4
+the saving is pinned too: at least 3x fewer exact evaluations (2052 -> 547
+when this was recorded).
 """
 
 import itertools
@@ -26,11 +28,18 @@ from repro.accelerator.config import scaled_default_config
 from repro.tensor.suite import small_suite
 
 #: The golden grid: large enough to train + verify the surrogate, validated
-#: to reproduce the brute-force frontier exactly.
+#: to reproduce the brute-force frontier exactly at every generation count
+#: in :data:`GOLDEN_GENERATIONS`.
 GOLDEN_GRID = dict(kernels=("gram",), y_values=(0.02, 0.05, 0.10, 0.22),
                    glb_scales=(0.4, 0.7, 1.0, 1.5), pe_scales=(0.5, 1.0, 2.0),
-                   max_generations=3, max_evaluations=100000,
+                   max_evaluations=100000,
                    scheduler=EvaluationScheduler(max_workers=1))
+
+#: The generation counts the golden grid is searched at.
+GOLDEN_GENERATIONS = (3, 4)
+
+#: The least brute-force / surrogate exact-evaluation ratio at 4 generations.
+MIN_EVALUATION_REDUCTION = 3.0
 
 
 #: Serial, store-less: configuration only, so the tests share one.
@@ -50,43 +59,57 @@ def _evaluated_configs(result):
 
 
 @pytest.fixture(scope="module")
-def golden_pair():
-    clear_process_caches()
-    brute = search_frontier(small_suite(), use_surrogate=False, **GOLDEN_GRID)
-    surrogate = search_frontier(small_suite(), **GOLDEN_GRID)
-    return brute, surrogate
+def golden_pairs():
+    """``(brute, surrogate)`` per generation count, each from cold caches."""
+    pairs = {}
+    for generations in GOLDEN_GENERATIONS:
+        clear_process_caches()
+        grid = dict(GOLDEN_GRID, max_generations=generations)
+        pairs[generations] = (
+            search_frontier(small_suite(), use_surrogate=False, **grid),
+            search_frontier(small_suite(), **grid))
+    return pairs
 
 
 class TestGoldenEquality:
-    def test_frontier_identical_to_brute_force(self, golden_pair):
-        brute, surrogate = golden_pair
+    def test_frontier_identical_to_brute_force(self, golden_pairs):
+        for brute, surrogate in golden_pairs.values():
+            assert _frontier_signature(surrogate) == _frontier_signature(brute)
+
+    def test_surrogate_evaluates_fewer_configs(self, golden_pairs):
+        for brute, surrogate in golden_pairs.values():
+            assert _evaluated_configs(surrogate) < _evaluated_configs(brute)
+            assert sum(s.pruned_configs for s in surrogate.generations) > 0
+
+    def test_four_generations_evaluate_3x_fewer_configs(self, golden_pairs):
+        """Equal frontiers (precision = recall = 1) for at least 3x fewer
+        exact evaluations."""
+        brute, surrogate = golden_pairs[4]
         assert _frontier_signature(surrogate) == _frontier_signature(brute)
+        reduction = _evaluated_configs(brute) / _evaluated_configs(surrogate)
+        assert reduction >= MIN_EVALUATION_REDUCTION, (
+            f"surrogate only cut exact evaluations by {reduction:.2f}x")
 
-    def test_surrogate_evaluates_fewer_configs(self, golden_pair):
-        brute, surrogate = golden_pair
-        assert _evaluated_configs(surrogate) < _evaluated_configs(brute)
-        assert sum(s.pruned_configs for s in surrogate.generations) > 0
-
-    def test_frontier_points_were_exactly_evaluated(self, golden_pair):
+    def test_frontier_points_were_exactly_evaluated(self, golden_pairs):
         """Every frontier point is an element of the evaluated point set —
         the surrogate never reports a predicted-only point."""
-        _, surrogate = golden_pair
-        evaluated = {id(point) for point in surrogate.points}
-        assert all(id(point) in evaluated for point in surrogate.frontier)
+        for _, surrogate in golden_pairs.values():
+            evaluated = {id(point) for point in surrogate.points}
+            assert all(id(point) in evaluated for point in surrogate.frontier)
 
-    def test_brute_force_flag_recorded_in_result(self, golden_pair):
-        brute, surrogate = golden_pair
+    def test_brute_force_flag_recorded_in_result(self, golden_pairs):
+        brute, surrogate = golden_pairs[3]
         assert brute.use_surrogate is False
         assert surrogate.use_surrogate is True
         assert brute.to_jsonable()["use_surrogate"] is False
 
-    def test_generation_stats_expose_ranking(self, golden_pair):
-        _, surrogate = golden_pair
-        ranked = [s for s in surrogate.generations if s.pruned_configs]
-        assert ranked, "at least one generation must have pruned"
-        for stats in surrogate.generations:
-            assert stats.evaluated_configs + stats.pruned_configs \
-                == stats.candidates
+    def test_generation_stats_expose_ranking(self, golden_pairs):
+        for _, surrogate in golden_pairs.values():
+            ranked = [s for s in surrogate.generations if s.pruned_configs]
+            assert ranked, "at least one generation must have pruned"
+            for stats in surrogate.generations:
+                assert stats.evaluated_configs + stats.pruned_configs \
+                    == stats.candidates
 
 
 class TestConstraints:

@@ -12,6 +12,7 @@ import http.client
 import json
 import socket
 import threading
+from collections import Counter
 
 import pytest
 
@@ -131,6 +132,11 @@ class TestService:
         service.close(drain=False)
         with pytest.raises(ServiceError, match="shut down"):
             ticket.wait()
+
+    @pytest.mark.parametrize("window", [float("inf"), float("nan"), -0.01])
+    def test_bad_batch_window_is_refused(self, window):
+        with pytest.raises(ValueError, match="batch window"):
+            EvaluationService(batch_window=window, auto_start=False)
 
     def test_pass_failure_fails_every_coalesced_ticket(self):
         clear_process_caches()
@@ -362,6 +368,52 @@ class TestByteIdentity:
         assert [event["payload"]["experiment"] for event in outcome.events
                 if event["event"] == "artifact"] == ["table4"]
         assert store.stats().entries > 0
+
+
+class TestHotPath:
+    CLIENTS = 4
+    HOT_ROUNDS = 2
+    GRID = dict(suite="quick", y=[0.05, 0.10, 0.22], kernels=["gram"])
+
+    def _concurrently(self, client, rounds):
+        """Each of ``CLIENTS`` threads sends ``rounds`` sweeps of ``GRID``
+        over its own client; returns the cell-source tallies."""
+        sources = Counter()
+        errors = []
+        lock = threading.Lock()
+
+        def drive():
+            own = ServerClient(client.host, client.port)
+            try:
+                for _ in range(rounds):
+                    tally = own.sweep(**self.GRID).cell_sources()
+                    with lock:
+                        sources.update(tally)
+            except Exception as error:  # noqa: BLE001 - asserted below
+                with lock:
+                    errors.append(error)
+
+        threads = [threading.Thread(target=drive)
+                   for _ in range(self.CLIENTS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors
+        return sources
+
+    def test_concurrent_hot_rounds_are_served_from_the_memo(
+            self, live_server):
+        """4 clients ask for one cold grid at once, then repeat it: every
+        request succeeds, every repeated cell is a memo hit, and the daemon
+        still shuts down cleanly (the fixture's teardown)."""
+        client, _store = live_server
+        cells = len(self.GRID["y"]) * len(small_suite().names)
+        cold = self._concurrently(client, rounds=1)
+        assert sum(cold.values()) == self.CLIENTS * cells
+        hot = self._concurrently(client, rounds=self.HOT_ROUNDS)
+        assert hot == {"memo": self.CLIENTS * self.HOT_ROUNDS * cells}
+        client.shutdown()
 
 
 class TestGracefulShutdown:
