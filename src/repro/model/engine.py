@@ -125,9 +125,10 @@ class AnalyticalEngine:
         kernel declares stationary (tiled in row blocks, possibly overbooked)
         and ``workload.b`` is its streaming operand — ``Aᵀ`` for the paper's
         Gram kernel, a distinct sparse matrix for general SpMSpM, or a
-        fully-dense factor for SpMM/SpMV/SDDMM.  Shapes, densities and the
-        per-tile occupancy statistics all come from the actual operands, so
-        nothing below assumes a square ``A × Aᵀ``.
+        shape-only :class:`~repro.tensor.sparse.DenseOperand` for the dense
+        factor of SpMM/SpMV/SDDMM, whose tile occupancies are their areas.
+        Shapes, densities and the per-tile occupancy statistics all come from
+        the operands, so nothing below assumes a square ``A × Aᵀ``.
         """
         arch = self.architecture
         a = workload.a

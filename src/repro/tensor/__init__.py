@@ -5,7 +5,8 @@ about sparse tensors:
 
 * :mod:`repro.tensor.coords` — shapes, points, and range arithmetic.
 * :mod:`repro.tensor.sparse` — the :class:`SparseMatrix` workhorse (COO/CSR
-  backed, with fast per-tile occupancy counting).
+  backed, with fast per-tile occupancy counting) and :class:`DenseOperand`,
+  a fully-dense operand described by its shape alone.
 * :mod:`repro.tensor.einsum` — Einsum workload descriptions and operation
   counting for SpMSpM.
 * :mod:`repro.tensor.kernels` — the pluggable kernel family (general SpMSpM,
@@ -24,7 +25,7 @@ about sparse tensors:
 """
 
 from repro.tensor.coords import Shape, Point, Range
-from repro.tensor.sparse import SparseMatrix
+from repro.tensor.sparse import DenseOperand, SparseMatrix
 from repro.tensor.einsum import EinsumSpec, MatmulWorkload, count_spmspm_operations
 from repro.tensor.kernels import (
     KERNELS,
@@ -67,6 +68,7 @@ __all__ = [
     "Point",
     "Range",
     "SparseMatrix",
+    "DenseOperand",
     "EinsumSpec",
     "MatmulWorkload",
     "count_spmspm_operations",

@@ -24,10 +24,15 @@ Every workload exposes the same surface the model layer consumes:
 ``einsum``
     The :class:`~repro.tensor.einsum.EinsumSpec` it instantiates.
 ``stationary_operand`` / ``streaming_operand``
-    The two tiled operands of the stationary/streaming dataflow.  Dense
-    operands are represented as fully-dense :class:`SparseMatrix` instances so
-    the per-tile occupancy machinery applies unchanged (a dense tile's
-    occupancy is simply its area).
+    The two tiled operands of the stationary/streaming dataflow.  A dense
+    streaming factor is a :class:`~repro.tensor.sparse.DenseOperand`: its
+    shape alone, whose tile occupancies are their areas (the dense worst case
+    ExTensor-N provisions for).  The tilers and engines read it exactly as
+    they read a :class:`SparseMatrix`; no matrix is built for it.
+``b_dense`` / ``x`` / ``d1``, ``d2``
+    The dense factor values.  They matter only to ``reference_dense()``, so a
+    workload built by :func:`build_kernel_workload` draws them from its own
+    generator on first access, never on the evaluation path.
 ``operation_counts()``
     Exact effectual multiplies, *symbolic* output occupancy (no product is
     materialized) and the dense-engine work, as :class:`OperationCounts`.
@@ -64,7 +69,7 @@ from repro.tensor.einsum import (
     MatmulWorkload,
     OperationCounts,
 )
-from repro.tensor.sparse import SparseMatrix
+from repro.tensor.sparse import DenseOperand, SparseMatrix
 
 #: Default inner rank of the dense factors of SpMM / SDDMM workloads.
 DEFAULT_FEATURE_DIM = 32
@@ -92,7 +97,7 @@ class KernelWorkload(Protocol):
     def stationary_operand(self) -> SparseMatrix: ...
 
     @property
-    def streaming_operand(self) -> SparseMatrix: ...
+    def streaming_operand(self) -> SparseMatrix | DenseOperand: ...
 
     def operation_counts(self) -> OperationCounts: ...
 
@@ -102,10 +107,11 @@ class KernelWorkload(Protocol):
 def dense_operand(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """A deterministic dense factor with no zero entries.
 
-    Values are drawn uniformly from ``[0.5, 1.5)`` so that a "dense" operand
-    really is fully occupied once wrapped in a :class:`SparseMatrix` (zeros
-    would be eliminated) and dot products of positive values cannot cancel,
-    keeping the symbolic output-occupancy counts exact.
+    Values are drawn uniformly from ``[0.5, 1.5)``, so every point of the
+    factor is occupied, exactly as its :class:`DenseOperand` describes it, and
+    dot products of positive values cannot cancel, keeping the symbolic
+    output-occupancy counts exact.  Only :meth:`reference_dense` and callers
+    that ask for a factor's values draw it; the model never does.
     """
     return rng.uniform(0.5, 1.5, size=(rows, cols))
 
@@ -115,49 +121,85 @@ def _nonzero_row_count(matrix: SparseMatrix) -> int:
     return int(np.count_nonzero(matrix.row_occupancies()))
 
 
-class SpMMWorkload:
+class _DenseFactorWorkload:
+    """Dense factors given as arrays, or drawn from a generator when first read.
+
+    A workload handed a generator owns it: the first access to any factor
+    draws all of them, in :meth:`_draw`'s order, and drops the generator.  No
+    other code may draw from it, or the factors would change.
+    """
+
+    def _own_factors(self, factors: Optional[tuple],
+                     rng: Optional[np.random.Generator]) -> None:
+        if (factors is None) == (rng is None):
+            raise ValueError("pass either the dense factors or the rng to draw "
+                             "them from")
+        self._factors = factors
+        self._rng = rng
+
+    def _factor_values(self) -> tuple:
+        if self._factors is None:
+            self._factors = self._draw(self._rng)
+            self._rng = None
+        return self._factors
+
+    def _draw(self, rng: np.random.Generator) -> tuple:  # pragma: no cover
+        raise NotImplementedError
+
+
+class SpMMWorkload(_DenseFactorWorkload):
     """Sparse × dense: ``Z[m,f] = A[m,k] * B[k,f]`` with a dense factor ``B``.
 
-    Operation counting is exact and symbolic: every stored nonzero of ``A``
-    meets every one of the ``f`` columns of ``B`` exactly once, and an output
-    row is nonzero iff the corresponding row of ``A`` is (positive dense
-    values cannot cancel).
+    Pass ``b_dense``, or an ``rng`` (and ``feature_dim``) to draw the
+    ``k × f`` factor from on first access.  Operation counting is exact and
+    symbolic: every stored nonzero of ``A`` meets every one of the ``f``
+    columns of ``B`` exactly once, and an output row is nonzero iff the
+    corresponding row of ``A`` is (positive dense values cannot cancel).
     """
 
     kernel = "spmm"
 
-    def __init__(self, a: SparseMatrix, b_dense: np.ndarray,
-                 name: str | None = None):
-        b_dense = np.asarray(b_dense, dtype=np.float64)
-        if b_dense.ndim != 2:
-            raise ValueError(f"B must be a 2-D dense factor, got shape "
-                             f"{b_dense.shape}")
-        if a.num_cols != b_dense.shape[0]:
-            raise ValueError(
-                f"inner dimensions do not match: {a.num_cols} vs "
-                f"{b_dense.shape[0]}")
+    def __init__(self, a: SparseMatrix, b_dense: np.ndarray | None = None,
+                 name: str | None = None, *,
+                 rng: np.random.Generator | None = None,
+                 feature_dim: int = DEFAULT_FEATURE_DIM):
+        factors = None
+        if b_dense is not None:
+            b_dense = np.asarray(b_dense, dtype=np.float64)
+            if b_dense.ndim != 2:
+                raise ValueError(f"B must be a 2-D dense factor, got shape "
+                                 f"{b_dense.shape}")
+            if a.num_cols != b_dense.shape[0]:
+                raise ValueError(
+                    f"inner dimensions do not match: {a.num_cols} vs "
+                    f"{b_dense.shape[0]}")
+            factors = (b_dense,)
+            feature_dim = b_dense.shape[1]
+        self._own_factors(factors, rng)
         self.a = a
-        self.b_dense = b_dense
-        self.name = name or f"{a.name} x dense[{b_dense.shape[1]}]"
-        self._streaming: Optional[SparseMatrix] = None
+        self.feature_dim = int(feature_dim)
+        self.name = name or f"{a.name} x dense[{self.feature_dim}]"
+        self._streaming = DenseOperand(a.num_cols, self.feature_dim,
+                                       name=f"{self.name}.B")
+
+    def _draw(self, rng: np.random.Generator) -> tuple:
+        return (dense_operand(rng, self.a.num_cols, self.feature_dim),)
+
+    @property
+    def b_dense(self) -> np.ndarray:
+        """The ``k × f`` dense factor ``B``."""
+        return self._factor_values()[0]
 
     @property
     def einsum(self) -> EinsumSpec:
         return SPMM_EINSUM
 
     @property
-    def feature_dim(self) -> int:
-        return int(self.b_dense.shape[1])
-
-    @property
     def stationary_operand(self) -> SparseMatrix:
         return self.a
 
     @property
-    def streaming_operand(self) -> SparseMatrix:
-        if self._streaming is None:
-            self._streaming = SparseMatrix.from_dense(
-                self.b_dense, name=f"{self.name}.B")
+    def streaming_operand(self) -> DenseOperand:
         return self._streaming
 
     def operation_counts(self) -> OperationCounts:
@@ -172,24 +214,39 @@ class SpMMWorkload:
         return self.a.to_dense() @ self.b_dense
 
 
-class SpMVWorkload:
+class SpMVWorkload(_DenseFactorWorkload):
     """Sparse matrix × dense vector: ``z[m] = A[m,k] * x[k]``.
 
     The degenerate SpMM (``f = 1``): one effectual multiply per stored nonzero
-    of ``A``, one output element per nonzero row.
+    of ``A``, one output element per nonzero row.  Pass ``x``, or an ``rng``
+    to draw it from on first access.
     """
 
     kernel = "spmv"
 
-    def __init__(self, a: SparseMatrix, x: np.ndarray, name: str | None = None):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if a.num_cols != x.shape[0]:
-            raise ValueError(
-                f"inner dimensions do not match: {a.num_cols} vs {x.shape[0]}")
+    def __init__(self, a: SparseMatrix, x: np.ndarray | None = None,
+                 name: str | None = None, *,
+                 rng: np.random.Generator | None = None):
+        factors = None
+        if x is not None:
+            x = np.asarray(x, dtype=np.float64).reshape(-1)
+            if a.num_cols != x.shape[0]:
+                raise ValueError(
+                    f"inner dimensions do not match: {a.num_cols} vs "
+                    f"{x.shape[0]}")
+            factors = (x,)
+        self._own_factors(factors, rng)
         self.a = a
-        self.x = x
         self.name = name or f"{a.name} x vector"
-        self._streaming: Optional[SparseMatrix] = None
+        self._streaming = DenseOperand(a.num_cols, 1, name=f"{self.name}.x")
+
+    def _draw(self, rng: np.random.Generator) -> tuple:
+        return (dense_operand(rng, self.a.num_cols, 1).reshape(-1),)
+
+    @property
+    def x(self) -> np.ndarray:
+        """The length-``k`` dense vector."""
+        return self._factor_values()[0]
 
     @property
     def einsum(self) -> EinsumSpec:
@@ -200,10 +257,7 @@ class SpMVWorkload:
         return self.a
 
     @property
-    def streaming_operand(self) -> SparseMatrix:
-        if self._streaming is None:
-            self._streaming = SparseMatrix.from_dense(
-                self.x.reshape(-1, 1), name=f"{self.name}.x")
+    def streaming_operand(self) -> DenseOperand:
         return self._streaming
 
     def operation_counts(self) -> OperationCounts:
@@ -217,7 +271,7 @@ class SpMVWorkload:
         return self.a.to_dense() @ self.x
 
 
-class SDDMMWorkload:
+class SDDMMWorkload(_DenseFactorWorkload):
     """Sampled dense-dense matmul: ``Z = S ⊙ (D₁ @ D₂)``.
 
     ``S`` (sparse, ``m × n``) samples the dense product of ``D₁`` (``m × f``)
@@ -226,47 +280,64 @@ class SDDMMWorkload:
     ``nnz(S) · (f + 1)`` multiplies and the output pattern is exactly ``S``'s.
     For the traffic model the sampler ``S`` is the stationary (tiled) operand
     and the dense factor ``D₂`` streams; ``D₁`` rows ride along with their
-    ``S`` row tiles.
+    ``S`` row tiles.  Pass ``d1`` and ``d2``, or an ``rng`` (and
+    ``feature_dim``) to draw them from on first access, ``D₁`` first.
     """
 
     kernel = "sddmm"
 
-    def __init__(self, s: SparseMatrix, d1: np.ndarray, d2: np.ndarray,
-                 name: str | None = None):
-        d1 = np.asarray(d1, dtype=np.float64)
-        d2 = np.asarray(d2, dtype=np.float64)
-        if d1.ndim != 2 or d2.ndim != 2:
-            raise ValueError("D1 and D2 must be 2-D dense factors")
-        if d1.shape[1] != d2.shape[0]:
-            raise ValueError(
-                f"inner dimensions do not match: {d1.shape[1]} vs {d2.shape[0]}")
-        if (s.num_rows, s.num_cols) != (d1.shape[0], d2.shape[1]):
-            raise ValueError(
-                f"sampler shape {s.csr.shape} does not match dense product "
-                f"shape {(d1.shape[0], d2.shape[1])}")
+    def __init__(self, s: SparseMatrix, d1: np.ndarray | None = None,
+                 d2: np.ndarray | None = None, name: str | None = None, *,
+                 rng: np.random.Generator | None = None,
+                 feature_dim: int = DEFAULT_FEATURE_DIM):
+        factors = None
+        if d1 is not None or d2 is not None:
+            d1 = np.asarray(d1, dtype=np.float64)
+            d2 = np.asarray(d2, dtype=np.float64)
+            if d1.ndim != 2 or d2.ndim != 2:
+                raise ValueError("D1 and D2 must be 2-D dense factors")
+            if d1.shape[1] != d2.shape[0]:
+                raise ValueError(
+                    f"inner dimensions do not match: {d1.shape[1]} vs "
+                    f"{d2.shape[0]}")
+            if (s.num_rows, s.num_cols) != (d1.shape[0], d2.shape[1]):
+                raise ValueError(
+                    f"sampler shape {s.csr.shape} does not match dense "
+                    f"product shape {(d1.shape[0], d2.shape[1])}")
+            factors = (d1, d2)
+            feature_dim = d1.shape[1]
+        self._own_factors(factors, rng)
         self.s = s
-        self.d1 = d1
-        self.d2 = d2
-        self.name = name or f"{s.name} sddmm[{d1.shape[1]}]"
-        self._streaming: Optional[SparseMatrix] = None
+        self.feature_dim = int(feature_dim)
+        self.name = name or f"{s.name} sddmm[{self.feature_dim}]"
+        self._streaming = DenseOperand(self.feature_dim, s.num_cols,
+                                       name=f"{self.name}.D2")
+
+    def _draw(self, rng: np.random.Generator) -> tuple:
+        d1 = dense_operand(rng, self.s.num_rows, self.feature_dim)
+        d2 = dense_operand(rng, self.s.num_cols, self.feature_dim).T
+        return d1, d2
+
+    @property
+    def d1(self) -> np.ndarray:
+        """The ``m × f`` dense factor ``D₁``."""
+        return self._factor_values()[0]
+
+    @property
+    def d2(self) -> np.ndarray:
+        """The ``f × n`` dense factor ``D₂``."""
+        return self._factor_values()[1]
 
     @property
     def einsum(self) -> EinsumSpec:
         return SDDMM_EINSUM
 
     @property
-    def feature_dim(self) -> int:
-        return int(self.d1.shape[1])
-
-    @property
     def stationary_operand(self) -> SparseMatrix:
         return self.s
 
     @property
-    def streaming_operand(self) -> SparseMatrix:
-        if self._streaming is None:
-            self._streaming = SparseMatrix.from_dense(
-                self.d2, name=f"{self.name}.D2")
+    def streaming_operand(self) -> DenseOperand:
         return self._streaming
 
     def operation_counts(self) -> OperationCounts:
@@ -394,7 +465,10 @@ def build_kernel_workload(kernel: str, matrix: SparseMatrix, *,
         Second sparse operand, required by ``"spmspm"``.
     rng:
         Generator for the deterministic dense factors, required by
-        ``"spmm"`` / ``"spmv"`` / ``"sddmm"``.
+        ``"spmm"`` / ``"spmv"`` / ``"sddmm"``.  The workload takes ownership
+        of it and draws its factors from it only when they are first read
+        (``reference_dense()``, or a test reading ``b_dense``/``x``/``d1``/
+        ``d2``); the caller must not draw from it afterwards.
     feature_dim:
         Inner rank ``f`` of the dense factors of SpMM and SDDMM.
     """
@@ -410,13 +484,11 @@ def build_kernel_workload(kernel: str, matrix: SparseMatrix, *,
         return MatmulWorkload(a=matrix, b=paired_matrix,
                               name=name or f"{matrix.name} x B")
     if kernel == "spmm":
-        factor = dense_operand(rng, matrix.num_cols, feature_dim)
-        return SpMMWorkload(matrix, factor, name=name)
+        return SpMMWorkload(matrix, name=name, rng=rng,
+                            feature_dim=feature_dim)
     if kernel == "spmv":
-        vector = dense_operand(rng, matrix.num_cols, 1)
-        return SpMVWorkload(matrix, vector, name=name)
+        return SpMVWorkload(matrix, name=name, rng=rng)
     if kernel == "sddmm":
-        d1 = dense_operand(rng, matrix.num_rows, feature_dim)
-        d2 = dense_operand(rng, matrix.num_cols, feature_dim).T
-        return SDDMMWorkload(matrix, d1, d2, name=name)
+        return SDDMMWorkload(matrix, name=name, rng=rng,
+                             feature_dim=feature_dim)
     raise KeyError(f"unknown kernel {kernel!r}")  # pragma: no cover

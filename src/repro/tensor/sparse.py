@@ -12,6 +12,10 @@ adds the operations the rest of the library needs:
   (intersection counting, per-row-block occupancies);
 * submatrix extraction used when constructing per-tile traces for the
   Tailors/buffet reuse simulations.
+
+:class:`DenseOperand` stands in for a fully-dense operand (the dense factors
+of SpMM, SpMV and SDDMM): it answers the occupancy queries of the tilers and
+the engines from its shape alone, without storing a value or a coordinate.
 """
 
 from __future__ import annotations
@@ -379,3 +383,94 @@ class SparseMatrix:
         if self._gram_cache is None:
             self._gram_cache = self.matmul(self.transpose())
         return self._gram_cache
+
+
+class DenseOperand:
+    """A fully-dense ``num_rows × num_cols`` operand, described by its shape.
+
+    The dense factors of SpMM, SpMV and SDDMM are fully occupied, so the
+    model needs none of their values: a dense tile's occupancy is its area.
+    ``DenseOperand`` answers the operand queries the tilers, Swiftiles and the
+    engines make — shape statistics, per-row and per-row-band occupancies,
+    the cached transpose, the instance ``memo`` — in closed form, bit-equal
+    to a :class:`SparseMatrix` built from a dense array with no zero entry.
+    It stores no coordinates and no CSR.
+    """
+
+    def __init__(self, num_rows: int, num_cols: int, name: str = "dense"):
+        check_positive_int(num_rows, "num_rows")
+        check_positive_int(num_cols, "num_cols")
+        self._num_rows = int(num_rows)
+        self._num_cols = int(num_cols)
+        self._name = str(name)
+        self._uid = next(_UID_COUNTER)
+        self._memo: Dict = {}
+        self._transpose_cache: Optional["DenseOperand"] = None
+        self._row_block_occ_cache: Dict[int, np.ndarray] = {}
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @property
+    def uid(self) -> int:
+        """Process-unique identity token (see :attr:`SparseMatrix.uid`)."""
+        return self._uid
+
+    @property
+    def memo(self) -> Dict:
+        """Instance-scoped cache for derived results (see :attr:`SparseMatrix.memo`)."""
+        return self._memo
+
+    @property
+    def shape(self) -> Shape:
+        return Shape((self._num_rows, self._num_cols))
+
+    @property
+    def num_rows(self) -> int:
+        return self._num_rows
+
+    @property
+    def num_cols(self) -> int:
+        return self._num_cols
+
+    @property
+    def size(self) -> int:
+        return self._num_rows * self._num_cols
+
+    @property
+    def nnz(self) -> int:
+        """Every point is occupied."""
+        return self.size
+
+    @property
+    def density(self) -> float:
+        return 1.0
+
+    @property
+    def sparsity(self) -> float:
+        return 0.0
+
+    def row_occupancies(self) -> np.ndarray:
+        """``num_cols`` nonzeros in each of the ``num_rows`` rows."""
+        return np.full(self._num_rows, self._num_cols, dtype=np.int64)
+
+    def row_block_occupancies(self, block_rows: int) -> np.ndarray:
+        """Band heights × ``num_cols`` (see :meth:`SparseMatrix.row_block_occupancies`)."""
+        check_positive_int(block_rows, "block_rows")
+        cached = self._row_block_occ_cache.get(block_rows)
+        if cached is None:
+            boundaries = np.arange(0, self._num_rows + block_rows, block_rows)
+            heights = np.diff(np.clip(boundaries, 0, self._num_rows))
+            cached = _read_only(heights.astype(np.int64) * self._num_cols)
+            self._row_block_occ_cache[block_rows] = cached
+        return cached
+
+    def transpose(self) -> "DenseOperand":
+        """The ``num_cols × num_rows`` operand, cached both ways."""
+        if self._transpose_cache is None:
+            transposed = DenseOperand(self._num_cols, self._num_rows,
+                                      name=f"{self._name}.T")
+            transposed._transpose_cache = self
+            self._transpose_cache = transposed
+        return self._transpose_cache

@@ -99,7 +99,7 @@ class TestSpMV:
 
     def test_streaming_operand_is_column_vector(self, sparse_a, rng):
         workload = SpMVWorkload(sparse_a, dense_operand(rng, sparse_a.num_cols, 1))
-        assert workload.streaming_operand.csr.shape == (sparse_a.num_cols, 1)
+        assert tuple(workload.streaming_operand.shape) == (sparse_a.num_cols, 1)
 
     def test_einsum_is_not_a_matmul(self, sparse_a, rng):
         workload = SpMVWorkload(sparse_a, dense_operand(rng, sparse_a.num_cols, 1))
@@ -167,6 +167,51 @@ class TestKernelRegistry:
         two = build_kernel_workload("spmm", sparse_a,
                                     rng=np.random.default_rng(5), feature_dim=3)
         np.testing.assert_array_equal(one.b_dense, two.b_dense)
+
+    @pytest.mark.parametrize("kernel", ["spmm", "spmv", "sddmm"])
+    def test_factors_are_drawn_only_when_read(self, sparse_a, kernel):
+        rng = np.random.default_rng(7)
+        untouched = rng.bit_generator.state
+        workload = build_kernel_workload(kernel, sparse_a, rng=rng,
+                                         feature_dim=3)
+        streaming = workload.streaming_operand
+        workload.operation_counts()
+        assert streaming.nnz == streaming.size
+        assert not hasattr(streaming, "csr")
+        assert rng.bit_generator.state == untouched
+        workload.reference_dense()
+        assert rng.bit_generator.state != untouched
+
+    def test_lazy_factors_equal_eager_draws(self, sparse_a):
+        # Same generator, same draws in the same order (SDDMM: D1 before D2),
+        # whichever factor is read first.
+        eager = np.random.default_rng(11)
+        b = dense_operand(eager, sparse_a.num_cols, 3)
+        spmm = build_kernel_workload("spmm", sparse_a, feature_dim=3,
+                                     rng=np.random.default_rng(11))
+        np.testing.assert_array_equal(spmm.b_dense, b)
+
+        eager = np.random.default_rng(12)
+        x = dense_operand(eager, sparse_a.num_cols, 1).reshape(-1)
+        spmv = build_kernel_workload("spmv", sparse_a,
+                                     rng=np.random.default_rng(12))
+        np.testing.assert_array_equal(spmv.x, x)
+
+        eager = np.random.default_rng(13)
+        d1 = dense_operand(eager, sparse_a.num_rows, 3)
+        d2 = dense_operand(eager, sparse_a.num_cols, 3).T
+        sddmm = build_kernel_workload("sddmm", sparse_a, feature_dim=3,
+                                      rng=np.random.default_rng(13))
+        np.testing.assert_array_equal(sddmm.d2, d2)
+        np.testing.assert_array_equal(sddmm.d1, d1)
+        assert tuple(sddmm.streaming_operand.shape) == d2.shape
+
+    def test_factors_or_rng_but_not_both(self, sparse_a, rng):
+        with pytest.raises(ValueError, match="rng"):
+            SpMMWorkload(sparse_a)
+        with pytest.raises(ValueError, match="rng"):
+            SpMVWorkload(sparse_a, dense_operand(rng, sparse_a.num_cols, 1),
+                         rng=rng)
 
     def test_dense_operand_has_no_zeros(self, rng):
         factor = dense_operand(rng, 30, 7)
