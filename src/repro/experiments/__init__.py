@@ -29,8 +29,9 @@ The moving parts:
 
 ``python -m repro`` (:mod:`repro.cli`) drives all of this from the command
 line; the experiment modules (``fig1`` … ``fig14``, ``table1`` …
-``table4``) keep their importable ``run(context)`` /
-``format_result(result)`` API for direct use.  ``docs/ARCHITECTURE.md``
+``table5``) keep their importable ``run(context)`` /
+``format_result(result)`` API for direct use (the ones that evaluate their
+own workload set also take a keyword-only ``scheduler``).  ``docs/ARCHITECTURE.md``
 walks through how the layers fit together; ``docs/CLI.md`` is the command
 reference.
 """

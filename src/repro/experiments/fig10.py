@@ -53,7 +53,7 @@ def evaluation_requests(context: ExperimentContext, *,
 
 
 @register(name="fig10", artifact="Fig. 10",
-          title="speedup of OB over P as a function of y", needs_reports=True,
+          title="speedup of OB over P as a function of y",
           quick_params={"y_values": (0.0, 0.10, 0.30)})
 def run(context: ExperimentContext, *, y_values: Sequence[float] = DEFAULT_SWEEP,
         workloads: Sequence[str] | None = None) -> Fig10Result:

@@ -53,7 +53,6 @@ DEFAULT_KERNELS = ("gram", "spmv")
 
 @register(name="fig14", artifact="Fig. 14",
           title="traffic/energy Pareto frontier of the design space",
-          uses_suite=False,  # the workloads are this module's own ladder
           quick_params={"specs": QUICK_SPECS, "kernels": ("gram",),
                         "glb_scales": (0.5, 1.0), "pe_scales": (1.0,),
                         "max_generations": 2},

@@ -49,7 +49,7 @@ class Fig5Result:
         return self.buffet_report.parent_fetches / self.tailors_report.parent_fetches
 
 
-@register(name="fig5", artifact="Fig. 3/5", required_suite="none",
+@register(name="fig5", artifact="Fig. 3/5",
           title="buffet vs. Tailors management of an overbooked tile",
           kernels=())
 def run(*, capacity: int = 4, fifo_region: int = 2,

@@ -56,7 +56,7 @@ class Fig7Result:
 
 
 @register(name="fig7", artifact="Fig. 7",
-          title="speedup over ExTensor-N", needs_reports=True)
+          title="speedup over ExTensor-N")
 def run(context: ExperimentContext) -> Fig7Result:
     """Evaluate all workloads on the three variants and compute speedups."""
     rows = []

@@ -57,7 +57,7 @@ class Fig8Result:
 
 
 @register(name="fig8", artifact="Fig. 8",
-          title="energy relative to ExTensor-N", needs_reports=True)
+          title="energy relative to ExTensor-N")
 def run(context: ExperimentContext) -> Fig8Result:
     """Evaluate energy efficiency of every workload on the three variants."""
     rows = []

@@ -59,7 +59,7 @@ class Fig9Result:
 
 
 @register(name="fig9", artifact="Fig. 9",
-          title="streaming overhead and data reuse", needs_reports=True)
+          title="streaming overhead and data reuse")
 def run(context: ExperimentContext) -> Fig9Result:
     """Collect streaming-overhead and reuse statistics for ExTensor-OB."""
     rows = []

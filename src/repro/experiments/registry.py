@@ -4,7 +4,7 @@ Each experiment module declares itself with the :func:`register` decorator on
 its ``run`` function::
 
     @register(name="fig7", artifact="Fig. 7",
-              title="speedup over ExTensor-N", needs_reports=True)
+              title="speedup over ExTensor-N")
     def run(context): ...
 
 which replaces the hand-maintained table that used to live in
@@ -12,21 +12,27 @@ which replaces the hand-maintained table that used to live in
 anything driving them (the CLI, the scheduler, the completeness tests) asks it
 instead of hard-coding module names.
 
-An :class:`Experiment` bundles the spec the drivers need:
+The experiment contract is three things, and drivers derive everything else
+from them:
 
-* ``name`` / ``artifact`` / ``title`` — identity and what paper artifact the
-  experiment regenerates;
-* ``required_suite`` — ``"any"`` for experiments that evaluate the workload
-  suite, ``"none"`` for self-contained ones (the Fig. 5 trace);
-* ``needs_reports`` — whether ``run`` consumes the per-variant
-  :class:`~repro.model.stats.PerformanceReport`s of every suite workload (what
-  the scheduler pre-computes in parallel);
-* ``compute(context, **params)`` — the module's ``run`` function;
-* ``format_result(result)`` / ``to_json(result)`` — rendering, resolved
-  lazily from the defining module (``to_json`` falls back to a generic
-  dataclass-aware converter);
+* ``kernels`` — which kernels the experiment applies to: ``("any",)`` (the
+  default) for experiments that consume the per-variant reports of every
+  suite workload and follow the context's kernel axis, ``("gram",)`` for ones
+  that model the Gram kernel's occupancy structure directly, several kernels
+  for cross-kernel experiments, ``()`` for self-contained ones (the Fig. 5
+  trace, the only experiment run without a context);
 * ``quick_params`` — parameter overrides that keep the experiment meaningful
-  *and fast* on the three-workload quick suite (used by smoke tests and CI).
+  *and fast* on the three-workload quick suite (used by smoke tests and CI);
+* the ``run`` signature — an experiment that evaluates its own workload set
+  takes the run's scheduler as a keyword-only ``scheduler`` parameter; other
+  cross-cutting inputs (``use_surrogate``, the corpus ``manifest``) reach the
+  experiments that declare them.
+
+An :class:`Experiment` bundles that contract with ``name`` / ``artifact`` /
+``title`` (identity and what paper artifact the experiment regenerates),
+``compute`` (the module's ``run``) and ``format_result`` / ``to_json``
+(rendering, resolved lazily from the defining module; ``to_json`` falls back
+to a generic dataclass-aware converter).
 
 :func:`discover` imports every experiment module exactly once so their
 decorators run; every registry accessor calls it, so callers never need to.
@@ -129,32 +135,14 @@ class Experiment:
     title: str
     compute: Callable[..., Any] = field(repr=False, compare=False)
     module: str
-    required_suite: str = "any"
-    needs_reports: bool = False
-    #: Whether ``run`` evaluates the *context's* workload suite.  ``table4``
-    #: declares ``False``: it consumes the context only for its
-    #: architecture/target/seed and evaluates its own synthetic structure
-    #: ladder, so the CLI warns when ``--synth``/``--matrix`` cannot apply.
-    uses_suite: bool = True
     quick_params: Mapping[str, Any] = field(default_factory=dict)
-    #: Which kernels the experiment applies to: ``("any",)`` for experiments
-    #: that consume per-variant reports (they follow the context's kernel
-    #: axis), ``("gram",)`` for ones that model the Gram kernel's occupancy
-    #: structure directly, the full family tuple for cross-kernel tables
-    #: (table3 evaluates every kernel regardless of the context's), ``()``
-    #: for self-contained experiments.
+    #: See the module docstring.
     kernels: tuple = ("any",)
 
     @property
     def needs_context(self) -> bool:
         """Whether ``run`` takes an :class:`ExperimentContext`."""
-        return self.required_suite != "none"
-
-    @property
-    def uses_context_suite(self) -> bool:
-        """Whether the experiment evaluates the *context's* workload suite
-        (declared via ``@register(..., uses_suite=False)`` to opt out)."""
-        return self.needs_context and self.uses_suite
+        return bool(self.kernels)
 
     def accepts_param(self, name: str) -> bool:
         """Whether ``run`` declares parameter ``name`` — how drivers decide
@@ -178,7 +166,7 @@ class Experiment:
         is requested: report consumers follow it, matrix-direct experiments
         keep their fixed kernel and cross-kernel tables report ``"all"``;
         ``None`` for experiments without a context."""
-        if not self.needs_context or not self.kernels:
+        if not self.kernels:
             return None
         if "any" in self.kernels:
             return kernel
@@ -192,10 +180,6 @@ class Experiment:
             return self.compute(context, **params)
         return self.compute(**params)
 
-    def run_quick(self, context=None) -> Any:
-        """Run with the quick-suite parameter overrides (smoke tests, CI)."""
-        return self.run(context, **dict(self.quick_params))
-
     def _module_attr(self, attr: str) -> Optional[Callable]:
         return getattr(sys.modules[self.module], attr, None)
 
@@ -203,15 +187,17 @@ class Experiment:
         """``(overbooking_target, workload)`` pairs this run will evaluate.
 
         The scheduler unions these across selected experiments and computes
-        the cold ones in parallel before any experiment runs.  A module may
-        refine the default (all suite workloads at the context's target) by
-        defining ``evaluation_requests(context, **params)`` — Fig. 10 does, to
-        announce its ``y`` grid.
+        the cold ones in parallel before any experiment runs.  By default a
+        report consumer (``"any"`` in ``kernels``) reads every suite workload
+        at the context's target, and any other experiment reads none; a
+        module may refine that by defining
+        ``evaluation_requests(context, **params)`` — Fig. 10 does, to announce
+        its ``y`` grid, and Table 3 its kernel grid.
         """
         hook = self._module_attr("evaluation_requests")
         if hook is not None and context is not None:
             return list(hook(context, **params))
-        if self.needs_reports and context is not None:
+        if "any" in self.kernels and context is not None:
             return [(context.overbooking_target, name)
                     for name in context.workload_names]
         return []
@@ -237,14 +223,9 @@ class Experiment:
 
 
 def register(*, name: str, artifact: str, title: str,
-             required_suite: str = "any", needs_reports: bool = False,
-             uses_suite: bool = True,
              quick_params: Optional[Mapping[str, Any]] = None,
              kernels: tuple = ("any",)):
     """Class the decorated ``run`` function as the experiment ``name``."""
-    if required_suite not in ("any", "none"):
-        raise ValueError(f"required_suite must be 'any' or 'none', "
-                         f"got {required_suite!r}")
 
     def decorate(func: Callable[..., Any]) -> Callable[..., Any]:
         if name in _REGISTRY and _REGISTRY[name].module != func.__module__:
@@ -256,9 +237,6 @@ def register(*, name: str, artifact: str, title: str,
             title=title,
             compute=func,
             module=func.__module__,
-            required_suite=required_suite,
-            needs_reports=needs_reports,
-            uses_suite=bool(uses_suite),
             quick_params=dict(quick_params or {}),
             kernels=tuple(kernels),
         )

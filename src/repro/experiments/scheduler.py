@@ -406,10 +406,3 @@ class EvaluationScheduler:
             degraded_serial=degraded_serial,
             batch_groups=len(units),
         )
-
-    def prefetch_context(
-            self, context: ExperimentContext,
-            targets: Optional[Iterable[Tuple[float, str]]] = None,
-    ) -> ScheduleStats:
-        """:meth:`prefetch` for one context (default: all suite workloads)."""
-        return self.prefetch(requests_for_context(context, targets))

@@ -291,12 +291,13 @@ def plan_run(request: RunRequest, *,
         effective = experiment.effective_kernel(request.kernel)
         if (experiment.needs_context and request.kernel != "gram"
                 and effective != request.kernel):
-            pinned = ",".join(experiment.kernels) if experiment.kernels else "no"
-            warnings.append(f"{experiment.name} is pinned to kernel(s) "
-                            f"{pinned}; --kernel {request.kernel} does not "
-                            f"apply to it")
-        if (request.source is not None and experiment.needs_context
-                and not experiment.uses_context_suite):
+            reason = ("evaluates its own kernel set"
+                      if len(experiment.kernels) > 1 else
+                      f"is pinned to kernel(s) {experiment.kernels[0]}")
+            warnings.append(f"{experiment.name} {reason}; --kernel "
+                            f"{request.kernel} does not apply to it")
+        if (request.source is not None
+                and experiment.accepts_param("scheduler")):
             warnings.append(f"{experiment.name} evaluates its own workload "
                             f"set; --{request.source} does not apply to it "
                             f"(only the architecture, overbooking target and "

@@ -59,7 +59,7 @@ class Table3Result:
 
 
 @register(name="table3", artifact="Table 3",
-          title="overbooking benefit across kernels", needs_reports=True,
+          title="overbooking benefit across kernels",
           kernels=DEFAULT_KERNELS)
 def run(context: ExperimentContext,
         kernels: Sequence[str] = DEFAULT_KERNELS) -> Table3Result:

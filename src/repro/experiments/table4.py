@@ -21,7 +21,7 @@ serves and persists them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.experiments.registry import register
 from repro.experiments.runner import ExperimentContext
@@ -93,20 +93,18 @@ class Table4Result:
 
 @register(name="table4", artifact="Table 4",
           title="overbooking benefit vs. structure skew",
-          uses_suite=False,  # the workloads are this module's own ladder
           quick_params={"specs": QUICK_SPECS, "kernels": ("gram", "spmv")},
           kernels=DEFAULT_KERNELS)
 def run(context: ExperimentContext,
         specs: Sequence = DEFAULT_SPECS,
-        kernels: Sequence[str] = DEFAULT_KERNELS,
-        scheduler: Optional[EvaluationScheduler] = None) -> Table4Result:
+        kernels: Sequence[str] = DEFAULT_KERNELS, *,
+        scheduler: EvaluationScheduler) -> Table4Result:
     """Sweep the structure ladder across kernels.
 
     The context supplies the architecture, overbooking target and suite seed;
     the workloads themselves come from the synthetic structure ladder, one
     canonical :func:`~repro.tensor.suite.synth_suite` evaluated under every
-    kernel in ``kernels`` through one prefetch of ``scheduler`` (without
-    one, each report is evaluated in-process when first read).
+    kernel in ``kernels`` through one prefetch of ``scheduler``.
     """
     resolved = synth_specs(specs)
     suite = synth_suite(resolved, seed=context.suite.seed)
@@ -117,9 +115,8 @@ def run(context: ExperimentContext,
         kernel=kernels[0],
     )
     contexts = {kernel: base.with_kernel(kernel) for kernel in kernels}
-    if scheduler is not None:
-        scheduler.prefetch([request for ctx in contexts.values()
-                            for request in requests_for_context(ctx)])
+    scheduler.prefetch([request for ctx in contexts.values()
+                        for request in requests_for_context(ctx)])
 
     rows: List[Table4Row] = []
     for spec in resolved:

@@ -25,7 +25,7 @@ resumed-from-store, byte-for-byte) is enforced in CI.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.experiments.registry import register
 from repro.experiments.runner import ExperimentContext
@@ -162,7 +162,6 @@ def _source_suites(context: ExperimentContext,
 
 @register(name="table5", artifact="Table 5",
           title="overbooking benefit across real corpora",
-          uses_suite=False,  # the workloads are the corpora themselves
           quick_params={"dlmc": QUICK_DLMC, "suitesparse": QUICK_SUITESPARSE,
                         "synth": QUICK_SYNTH, "manifest": QUICK_MANIFEST,
                         "kernels": QUICK_KERNELS},
@@ -172,8 +171,8 @@ def run(context: ExperimentContext,
         suitesparse: Sequence[str] = DEFAULT_SUITESPARSE,
         synth: Sequence = DEFAULT_SYNTH,
         manifest: Union[str, None] = None,
-        kernels: Sequence[str] = DEFAULT_KERNELS,
-        scheduler: Optional[EvaluationScheduler] = None) -> Table5Result:
+        kernels: Sequence[str] = DEFAULT_KERNELS, *,
+        scheduler: EvaluationScheduler) -> Table5Result:
     """Evaluate all three workload sources under every kernel.
 
     The context supplies the architecture, overbooking target and suite
@@ -183,8 +182,6 @@ def run(context: ExperimentContext,
     goes through one prefetch of ``scheduler`` — parallel workers rebuild
     the corpus suites from their ``("corpus", ...)`` tokens via the shared
     matrix cache, and the scheduler's store lets reruns resume warm.
-    Without a scheduler, each report is evaluated in-process when first
-    read.
     """
     suites = _source_suites(context, dlmc, suitesparse, synth, manifest)
 
@@ -201,8 +198,7 @@ def run(context: ExperimentContext,
             ctx = base.with_kernel(kernel)
             contexts[(source, kernel)] = ctx
             requests.extend(requests_for_context(ctx))
-    if scheduler is not None:
-        scheduler.prefetch(requests)
+    scheduler.prefetch(requests)
 
     rows: List[Table5Row] = []
     for source, suite in suites:

@@ -17,7 +17,7 @@ the evaluation pipeline never touches per-tile Python objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 import numpy as np
 
@@ -447,26 +447,3 @@ class Tiling:
             "mean_occupancy": float(occ.mean()) if occ.size else 0.0,
             "total_occupancy": int(occ.sum()) if occ.size else 0,
         }
-
-
-def tiles_from_occupancies(matrix: SparseMatrix, occupancies: Sequence[int],
-                           row_ranges: Sequence[Range], col_ranges: Sequence[Range],
-                           strategy: str, tax: TilingTax | None = None) -> Tiling:
-    """Assemble a :class:`Tiling` from parallel per-tile sequences.
-
-    Accepts per-tile ``Range`` sequences for compatibility; the ranges are
-    packed into bound arrays so the resulting tiling is array-backed like any
-    other.
-    """
-    if not (len(occupancies) == len(row_ranges) == len(col_ranges)):
-        raise ValueError("occupancies, row_ranges and col_ranges must align")
-    row_starts = np.fromiter((r.start for r in row_ranges), dtype=np.int64,
-                             count=len(row_ranges))
-    row_stops = np.fromiter((r.stop for r in row_ranges), dtype=np.int64,
-                            count=len(row_ranges))
-    col_starts = np.fromiter((c.start for c in col_ranges), dtype=np.int64,
-                             count=len(col_ranges))
-    col_stops = np.fromiter((c.stop for c in col_ranges), dtype=np.int64,
-                            count=len(col_ranges))
-    return Tiling.from_bounds(matrix, occupancies, row_starts, row_stops,
-                              col_starts, col_stops, strategy, tax)

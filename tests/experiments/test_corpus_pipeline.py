@@ -162,7 +162,7 @@ class TestCorpusParallelBitIdentical:
         _all_kernel_reports(max_workers=2)
         context = ExperimentContext(suite=_fixture_suite())
         stats = EvaluationScheduler(max_workers=2, min_parallel_requests=1) \
-            .prefetch_context(context)
+            .prefetch(requests_for_context(context))
         assert stats.computed == 0
         assert stats.warm == len(CORPUS_IDS)
 
@@ -202,7 +202,10 @@ class TestCorpusSweep:
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return get("table5").run_quick(ExperimentContext.quick())
+    experiment = get("table5")
+    with EvaluationScheduler(max_workers=1) as scheduler:
+        return experiment.run(ExperimentContext.quick(), scheduler=scheduler,
+                              **experiment.quick_params)
 
 
 class TestTable5:
@@ -250,7 +253,8 @@ class TestTable5:
     def test_needs_at_least_one_source(self):
         with pytest.raises(ValueError, match="at least one"):
             get("table5").run(ExperimentContext.quick(), dlmc=(),
-                              suitesparse=(), synth=())
+                              suitesparse=(), synth=(),
+                              scheduler=EvaluationScheduler(max_workers=1))
 
 
 class TestCorpusCli:

@@ -16,7 +16,7 @@ from repro.experiments.runner import (
     ExperimentContext,
     clear_process_caches,
 )
-from repro.experiments.scheduler import EvaluationScheduler
+from repro.experiments.scheduler import EvaluationScheduler, requests_for_context
 from repro.model.batch import BatchWorkloadEvaluator
 from repro.model.workload import WorkloadDescriptor
 from repro.tensor.suite import shared_matrix_cache_size
@@ -57,7 +57,7 @@ def work(monkeypatch):
 
 def test_context_misses_reuse_the_prefetch_evaluators(work):
     context = ExperimentContext.quick(kernel="spmm")
-    EvaluationScheduler(max_workers=1).prefetch_context(context)
+    EvaluationScheduler(max_workers=1).prefetch(requests_for_context(context))
     prefetched = dict(work)
     workloads = len(context.workload_names)
     assert prefetched["evaluators"] == workloads
@@ -97,7 +97,7 @@ def test_tokenless_contexts_keep_a_private_cache(work):
 
 def test_clear_process_caches_empties_every_tier(work):
     context = ExperimentContext.quick()
-    EvaluationScheduler(max_workers=1).prefetch_context(context)
+    EvaluationScheduler(max_workers=1).prefetch(requests_for_context(context))
     context.with_kernel("spmv").all_reports()
     assert CACHE.suites and CACHE.evaluators and CACHE.reports
     assert shared_matrix_cache_size() > 0

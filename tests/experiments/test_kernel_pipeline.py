@@ -80,7 +80,7 @@ class TestSchedulerKernelAxis:
         clear_process_caches()
         context = ExperimentContext.quick(kernel="spmm")
         stats = EvaluationScheduler(max_workers=2, min_parallel_requests=1) \
-            .prefetch_context(context)
+            .prefetch(requests_for_context(context))
         assert stats.computed == 3 and stats.workers == 2
         parallel = context.all_reports()
 

@@ -76,7 +76,7 @@ class TestParallelEqualsSerial:
         clear_process_caches()
         context = ExperimentContext.full()
         scheduler = EvaluationScheduler(max_workers=2, min_parallel_requests=1)
-        stats = scheduler.prefetch_context(context)
+        stats = scheduler.prefetch(requests_for_context(context))
         assert stats.computed == len(context.workload_names)
         assert stats.workers == 2
         parallel = context.all_reports()
@@ -90,7 +90,7 @@ class TestParallelEqualsSerial:
         clear_process_caches()
         context = ExperimentContext.quick()
         EvaluationScheduler(max_workers=2, min_parallel_requests=1) \
-            .prefetch_context(context)
+            .prefetch(requests_for_context(context))
         _assert_reports_equal(serial, context.all_reports())
 
 
@@ -117,7 +117,7 @@ class TestSchedulerBookkeeping:
         clear_process_caches()
         context = ExperimentContext.quick()
         stats = EvaluationScheduler(max_workers=8, min_parallel_requests=50) \
-            .prefetch_context(context)
+            .prefetch(requests_for_context(context))
         assert stats.computed == 3
         assert stats.workers <= 1  # fell back to in-process evaluation
 

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.experiments.runner import ExperimentContext, clear_process_caches
-from repro.experiments.scheduler import EvaluationScheduler
+from repro.experiments.scheduler import EvaluationScheduler, requests_for_context
 from repro.experiments.store import (
     SCHEMA_VERSION,
     TMP_GRACE_SECONDS,
@@ -265,13 +265,13 @@ class TestSchedulerIntegration:
         clear_process_caches()
         context = ExperimentContext.quick()
         first = EvaluationScheduler(max_workers=1, store=store) \
-            .prefetch_context(context)
+            .prefetch(requests_for_context(context))
         assert first.computed == 3 and first.store_writes == 3
 
         clear_process_caches()  # simulate a fresh process: memo gone
         rerun_store = ReportStore(tmp_path / "store")
         rerun = EvaluationScheduler(max_workers=1, store=rerun_store) \
-            .prefetch_context(ExperimentContext.quick())
+            .prefetch(requests_for_context(ExperimentContext.quick()))
         assert rerun.computed == 0
         assert rerun.store_hits == 3
         assert rerun_store.session.hits == 3
@@ -281,7 +281,7 @@ class TestSchedulerIntegration:
         clear_process_caches()
         context = ExperimentContext.quick()
         EvaluationScheduler(max_workers=1, store=store) \
-            .prefetch_context(context)
+            .prefetch(requests_for_context(context))
         fresh = {name: context.reports(name)
                  for name in context.workload_names}
 
@@ -289,7 +289,7 @@ class TestSchedulerIntegration:
         context2 = ExperimentContext.quick()
         EvaluationScheduler(max_workers=1,
                             store=ReportStore(tmp_path / "store")) \
-            .prefetch_context(context2)
+            .prefetch(requests_for_context(context2))
         for name, per_variant in fresh.items():
             assert context2.reports(name) == per_variant
 

@@ -79,7 +79,7 @@ class TestSynthParallelBitIdentical:
         suite = synth_suite(SPECS)
         context = ExperimentContext(suite=suite)
         stats = EvaluationScheduler(max_workers=2, min_parallel_requests=1) \
-            .prefetch_context(context)
+            .prefetch(requests_for_context(context))
         assert stats.computed == 0
         assert stats.warm == len(SPECS)
 

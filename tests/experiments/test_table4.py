@@ -5,11 +5,19 @@ import pytest
 from repro.experiments import table4
 from repro.experiments.registry import get
 from repro.experiments.runner import ExperimentContext
+from repro.experiments.scheduler import EvaluationScheduler
+
+
+def _run_quick():
+    experiment = get("table4")
+    with EvaluationScheduler(max_workers=1) as scheduler:
+        return experiment.run(ExperimentContext.quick(), scheduler=scheduler,
+                              **experiment.quick_params)
 
 
 @pytest.fixture(scope="module")
 def quick_result():
-    return get("table4").run_quick(ExperimentContext.quick())
+    return _run_quick()
 
 
 class TestTable4:
@@ -61,5 +69,5 @@ class TestTable4:
         assert len({spec.workload_name for spec in specs}) == len(specs)
 
     def test_quick_run_is_deterministic(self, quick_result):
-        again = get("table4").run_quick(ExperimentContext.quick())
+        again = _run_quick()
         assert again.rows == quick_result.rows
