@@ -112,10 +112,6 @@ class ArchitectureConfig:
         """Words moved per nonzero transferred (value + metadata)."""
         return 1.0 + self.metadata_words_per_nonzero
 
-    def cycles_to_seconds(self, cycles: float) -> float:
-        """Convert a cycle count into wall-clock seconds at the configured clock."""
-        return cycles / self.frequency_hz
-
     def with_overrides(self, **overrides) -> "ArchitectureConfig":
         """A copy of this configuration with the given fields replaced."""
         return replace(self, **overrides)

@@ -97,11 +97,6 @@ class StorageIdiom(ABC):
         """Number of valid data words currently held."""
 
     @property
-    def free_capacity(self) -> int:
-        """Unoccupied words."""
-        return self.capacity - self.occupancy
-
-    @property
     def is_full(self) -> bool:
         return self.occupancy >= self.capacity
 

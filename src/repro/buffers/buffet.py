@@ -71,10 +71,6 @@ class Buffet(StorageIdiom):
         """Valid data in queue order, head first (for tests and traces)."""
         return [self._slots[(self._head + i) % self.capacity] for i in range(self._occupancy)]
 
-    def physical_slots(self) -> List[Optional[Any]]:
-        """Raw slot array in physical order (for golden-trace tests)."""
-        return list(self._slots)
-
     def index_to_offset(self, index: int) -> int:
         """Physical slot that queue index ``index`` occupies.
 

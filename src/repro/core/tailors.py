@@ -186,10 +186,6 @@ class Tailors(StorageIdiom):
         """Data currently valid, in physical-slot order (``None`` = invalid)."""
         return list(self._slots)
 
-    def resident_indices(self) -> List[int]:
-        """Tile indices currently held anywhere in the buffer."""
-        return [idx for idx in self._slot_index if idx is not None]
-
     # ------------------------------------------------------------------ #
     # Buffet-compatible operations
     # ------------------------------------------------------------------ #

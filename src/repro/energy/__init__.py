@@ -8,13 +8,12 @@ analytical model needs: a table of per-action energies per component
 technology scaling model (:mod:`repro.energy.cacti`).
 """
 
-from repro.energy.cacti import dram_access_energy_pj, sram_access_energy_pj, sram_area_mm2
+from repro.energy.cacti import dram_access_energy_pj, sram_access_energy_pj
 from repro.energy.accelergy import ComponentEnergy, EnergyModel, EnergyReport
 
 __all__ = [
     "dram_access_energy_pj",
     "sram_access_energy_pj",
-    "sram_area_mm2",
     "ComponentEnergy",
     "EnergyModel",
     "EnergyReport",

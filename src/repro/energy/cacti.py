@@ -1,4 +1,4 @@
-"""CACTI-like first-order energy/area models for SRAM and DRAM accesses.
+"""CACTI-like first-order energy models for SRAM and DRAM accesses.
 
 The absolute numbers follow widely published 65/45 nm characterizations
 (e.g. the Eyeriss and Timeloop/Accelergy papers): a DRAM access costs two or
@@ -45,14 +45,6 @@ def sram_access_energy_pj(capacity_words: int, word_bits: int = 32) -> float:
     scale = math.sqrt(capacity_words / _SRAM_REFERENCE_WORDS)
     energy = max(_SRAM_FLOOR_PJ, _SRAM_REFERENCE_PJ * scale)
     return energy * (word_bits / 32.0)
-
-
-def sram_area_mm2(capacity_words: int, word_bits: int = 32) -> float:
-    """Approximate area (mm²) of an SRAM macro (0.5 mm² per MiB at 65 nm-ish)."""
-    check_positive_int(capacity_words, "capacity_words")
-    check_positive_int(word_bits, "word_bits")
-    bytes_total = capacity_words * word_bits / 8.0
-    return 0.5 * bytes_total / (1 << 20)
 
 
 def mac_energy_pj(word_bits: int = 32) -> float:

@@ -33,12 +33,6 @@ class Fig12Result:
     full_sampling_mae: float
     target: float
 
-    def mae_at(self, k: int) -> float:
-        for value, mae in zip(self.k_values, self.mae_values):
-            if value == k:
-                return mae
-        raise KeyError(f"k={k} was not swept")
-
 
 @register(name="fig12", artifact="Fig. 12",
           title="Swiftiles error vs. number of samples k",

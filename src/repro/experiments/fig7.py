@@ -2,8 +2,7 @@
 
 The paper reports a geometric-mean speedup of 52.7× for ExTensor-OB over
 ExTensor-N and 2.3× over ExTensor-P.  The reproduction computes the same
-per-workload bars and geometric means on the synthetic suite; EXPERIMENTS.md
-records the measured values next to the paper's.
+per-workload bars and geometric means on the synthetic suite.
 """
 
 from __future__ import annotations
@@ -47,12 +46,6 @@ class Fig7Result:
     @property
     def geomean_overbooking_vs_prescient(self) -> float:
         return geometric_mean(r.overbooking_vs_prescient for r in self.rows)
-
-    def row(self, workload: str) -> SpeedupRow:
-        for entry in self.rows:
-            if entry.workload == workload:
-                return entry
-        raise KeyError(workload)
 
 
 @register(name="fig7", artifact="Fig. 7",

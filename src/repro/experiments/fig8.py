@@ -49,12 +49,6 @@ class Fig8Result:
     def geomean_overbooking_vs_prescient(self) -> float:
         return geometric_mean(r.overbooking_vs_prescient for r in self.rows)
 
-    def row(self, workload: str) -> EnergyRow:
-        for entry in self.rows:
-            if entry.workload == workload:
-                return entry
-        raise KeyError(workload)
-
 
 @register(name="fig8", artifact="Fig. 8",
           title="energy relative to ExTensor-N")

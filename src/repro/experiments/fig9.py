@@ -51,12 +51,6 @@ class Fig9Result:
             return 0.0
         return float(np.corrcoef(bumped, reuse)[0, 1])
 
-    def row(self, workload: str) -> ReuseRow:
-        for entry in self.rows:
-            if entry.workload == workload:
-                return entry
-        raise KeyError(workload)
-
 
 @register(name="fig9", artifact="Fig. 9",
           title="streaming overhead and data reuse")

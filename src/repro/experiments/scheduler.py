@@ -49,6 +49,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.accelerator.config import ArchitectureConfig
 from repro.experiments.runner import CACHE, ExperimentContext
 
+#: Below this many cold requests the pool start-up cost outweighs the win,
+#: so they are evaluated in-process instead.
+MIN_PARALLEL_REQUESTS = 4
+
 #: Signature of the per-request completion hook: ``(request, reports,
 #: source)`` with ``source`` one of ``"store"`` (served from the on-disk
 #: store) or ``"computed"`` (freshly evaluated this pass).
@@ -195,9 +199,6 @@ class EvaluationScheduler:
     max_workers:
         Upper bound on worker processes.  ``None`` uses the CPU count; ``1``
         forces serial in-process evaluation (no pool, no pickling).
-    min_parallel_requests:
-        Below this many cold requests the pool start-up cost outweighs the
-        win; they are evaluated in-process instead.
     store:
         Optional :class:`~repro.experiments.store.ReportStore`.  Cold
         requests are looked up in it before any evaluation happens, and
@@ -214,12 +215,10 @@ class EvaluationScheduler:
     a scheduler that was never closed.
     """
 
-    def __init__(self, max_workers: Optional[int] = None, *,
-                 min_parallel_requests: int = 4, store=None):
+    def __init__(self, max_workers: Optional[int] = None, *, store=None):
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         self.max_workers = max(1, int(max_workers))
-        self.min_parallel_requests = max(1, int(min_parallel_requests))
         self.store = store
         self._pool: Optional[ProcessPoolExecutor] = None
         self._shutdown_pool: Optional[weakref.finalize] = None
@@ -344,7 +343,7 @@ class EvaluationScheduler:
         pool_restarts = 0
         degraded_serial = False
         workers = min(self.max_workers, len(units))
-        if workers <= 1 or len(cold) < self.min_parallel_requests:
+        if workers <= 1 or len(cold) < MIN_PARALLEL_REQUESTS:
             for unit in units:
                 for request, reports in _evaluate_request_group(unit):
                     merge(request, reports)

@@ -311,10 +311,6 @@ class LeaseManager:
         self._seen.pop(path, None)
         return Lease(self, memo_key, path)
 
-    def lease_paths(self):
-        if self.root.exists():
-            yield from sorted(self.root.glob("*.json"))
-
 
 # --------------------------------------------------------------------- #
 # The shard worker

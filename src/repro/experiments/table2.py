@@ -34,12 +34,6 @@ class Table2Row:
 class Table2Result:
     rows: List[Table2Row]
 
-    def row(self, name: str) -> Table2Row:
-        for entry in self.rows:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
-
 
 @register(name="table2", artifact="Table 2",
           title="workload characteristics", kernels=("gram",))

@@ -51,12 +51,6 @@ class Table3Result:
     overbooking_target: float
     rows: List[KernelRow]
 
-    def row(self, kernel: str) -> KernelRow:
-        for entry in self.rows:
-            if entry.kernel == kernel:
-                return entry
-        raise KeyError(kernel)
-
 
 @register(name="table3", artifact="Table 3",
           title="overbooking benefit across kernels",

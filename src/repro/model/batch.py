@@ -44,7 +44,7 @@ suites, and random grids.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -519,36 +519,3 @@ class BatchWorkloadEvaluator:
                 },
                 kernel=kernel)
             reports[key] = report
-
-
-def config_grid(base: ArchitectureConfig, *, y_values: Iterable[float],
-                glb_capacities: Optional[Iterable[int]] = None,
-                pe_buffer_capacities: Optional[Iterable[int]] = None,
-                num_pes: Optional[Iterable[int]] = None) -> List[GridConfig]:
-    """The full cross product of the given axes as ``(architecture, y)`` cells.
-
-    Axis order (GLB outermost, then PE buffer, then PE count, then ``y``)
-    matches the sweep planner's loop nesting.  ``None`` axes stay at the base
-    architecture's value.
-    """
-    glb_axis = list(glb_capacities) if glb_capacities is not None \
-        else [base.glb_capacity_words]
-    pe_axis = list(pe_buffer_capacities) if pe_buffer_capacities is not None \
-        else [base.pe_buffer_capacity_words]
-    pes_axis = list(num_pes) if num_pes is not None else [base.num_pes]
-    configs: List[GridConfig] = []
-    for glb in glb_axis:
-        for pe in pe_axis:
-            for pes in pes_axis:
-                overrides = {}
-                if glb != base.glb_capacity_words:
-                    overrides["glb_capacity_words"] = int(glb)
-                if pe != base.pe_buffer_capacity_words:
-                    overrides["pe_buffer_capacity_words"] = int(pe)
-                if pes != base.num_pes:
-                    overrides["num_pes"] = int(pes)
-                arch = base.with_overrides(**overrides) if overrides else base
-                for y in y_values:
-                    configs.append((arch, float(y)))
-    return configs
-

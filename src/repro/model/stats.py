@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.energy.accelergy import EnergyReport
 from repro.model.traffic import LevelTraffic
@@ -20,10 +20,6 @@ class TrafficBreakdown:
     @property
     def dram_words(self) -> float:
         return self.dram.total_words
-
-    @property
-    def glb_words(self) -> float:
-        return self.global_buffer.total_words
 
     @property
     def dram_overhead_fraction(self) -> float:
@@ -66,10 +62,6 @@ class PerformanceReport:
     kernel: str = "gram"
 
     @property
-    def runtime_cycles(self) -> float:
-        return self.cycles
-
-    @property
     def total_energy_pj(self) -> float:
         return self.energy.total_pj
 
@@ -98,38 +90,3 @@ def geometric_mean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in values):
         raise ValueError("geometric_mean requires strictly positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def arithmetic_mean(values: Iterable[float]) -> float:
-    """Plain mean, provided alongside :func:`geometric_mean` for reports."""
-    values = [float(v) for v in values]
-    if not values:
-        raise ValueError("arithmetic_mean of an empty sequence")
-    return sum(values) / len(values)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One row of a Fig. 7 / Fig. 8 style comparison table."""
-
-    workload: str
-    prescient_vs_naive: float
-    overbooking_vs_naive: float
-
-    @property
-    def overbooking_vs_prescient(self) -> float:
-        if self.prescient_vs_naive == 0:
-            return math.inf
-        return self.overbooking_vs_naive / self.prescient_vs_naive
-
-
-def comparison_summary(rows: Iterable[ComparisonRow]) -> Optional[ComparisonRow]:
-    """Geometric-mean row over a set of comparison rows (None when empty)."""
-    rows = list(rows)
-    if not rows:
-        return None
-    return ComparisonRow(
-        workload="geomean",
-        prescient_vs_naive=geometric_mean(r.prescient_vs_naive for r in rows),
-        overbooking_vs_naive=geometric_mean(r.overbooking_vs_naive for r in rows),
-    )

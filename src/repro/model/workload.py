@@ -91,11 +91,6 @@ class WorkloadDescriptor:
     # Uniform kernel surface consumed by the engine
     # ------------------------------------------------------------------ #
     @property
-    def matmul(self) -> KernelWorkload:
-        """Backwards-compatible alias for :attr:`workload`."""
-        return self.workload
-
-    @property
     def einsum(self) -> EinsumSpec:
         return self.workload.einsum
 
@@ -123,21 +118,3 @@ class WorkloadDescriptor:
     @property
     def output_nonzeros(self) -> int:
         return self.operation_counts.output_nonzeros
-
-    @property
-    def footprint_nonzeros(self) -> int:
-        """Total operand nonzeros (A and B) that must come from DRAM at least once."""
-        return self.a.nnz + self.b.nnz
-
-    def summary(self) -> dict:
-        """Headline numbers for reports (Table 2 style)."""
-        return {
-            "name": self.name,
-            "kernel": self.kernel,
-            "rows": self.a.num_rows,
-            "cols": self.a.num_cols,
-            "nnz": self.a.nnz,
-            "sparsity": self.a.sparsity,
-            "effectual_multiplies": self.effectual_multiplies,
-            "output_nonzeros": self.output_nonzeros,
-        }

@@ -3,7 +3,7 @@
 This subpackage provides everything the rest of the library needs to talk
 about sparse tensors:
 
-* :mod:`repro.tensor.coords` — shapes, points, and range arithmetic.
+* :mod:`repro.tensor.coords` — shapes and coordinate ranges.
 * :mod:`repro.tensor.sparse` — the :class:`SparseMatrix` workhorse (COO/CSR
   backed, with fast per-tile occupancy counting) and :class:`DenseOperand`,
   a fully-dense operand described by its shape alone.
@@ -24,7 +24,7 @@ about sparse tensors:
 * :mod:`repro.tensor.io` — MatrixMarket-style persistence.
 """
 
-from repro.tensor.coords import Shape, Point, Range
+from repro.tensor.coords import Shape, Range
 from repro.tensor.sparse import DenseOperand, SparseMatrix
 from repro.tensor.einsum import EinsumSpec, MatmulWorkload, count_spmspm_operations
 from repro.tensor.kernels import (
@@ -39,7 +39,6 @@ from repro.tensor.generators import (
     banded_matrix,
     block_diagonal_matrix,
     density_gradient_matrix,
-    erdos_renyi_matrix,
     power_law_matrix,
     road_network_matrix,
     uniform_random_matrix,
@@ -65,7 +64,6 @@ from repro.tensor.corpus import (
 
 __all__ = [
     "Shape",
-    "Point",
     "Range",
     "SparseMatrix",
     "DenseOperand",
@@ -81,7 +79,6 @@ __all__ = [
     "banded_matrix",
     "block_diagonal_matrix",
     "density_gradient_matrix",
-    "erdos_renyi_matrix",
     "power_law_matrix",
     "road_network_matrix",
     "uniform_random_matrix",

@@ -1,4 +1,4 @@
-"""Coordinate-space primitives: points, ranges, and shapes.
+"""Coordinate-space primitives: ranges and shapes.
 
 The paper describes tiles in *coordinate space*: a tile is a hyper-rectangle of
 coordinates whose *size* is the product of its per-dimension ranges and whose
@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
 from repro.utils.validation import check_non_negative_int, check_positive_int
-
-#: A point is a tuple of integer coordinates, one per dimension.
-Point = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -39,18 +36,6 @@ class Range:
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.start, self.stop))
-
-    def intersect(self, other: "Range") -> "Range":
-        """Return the overlap of two ranges (possibly empty)."""
-        start = max(self.start, other.start)
-        stop = min(self.stop, other.stop)
-        if stop < start:
-            stop = start
-        return Range(start, stop)
-
-    def clamp(self, bound: int) -> "Range":
-        """Clip the range so that it does not extend past ``bound``."""
-        return Range(min(self.start, bound), min(self.stop, bound))
 
 
 @dataclass(frozen=True)
@@ -89,32 +74,3 @@ class Shape:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.dims)
-
-    def contains(self, point: Point) -> bool:
-        """Return whether ``point`` lies inside the shape."""
-        if len(point) != self.rank:
-            raise ValueError(
-                f"point has {len(point)} coordinates but the shape has rank {self.rank}"
-            )
-        return all(0 <= c < d for c, d in zip(point, self.dims))
-
-    def tile_grid(self, tile_dims: Sequence[int]) -> Tuple[int, ...]:
-        """Number of tiles along each dimension when tiling with ``tile_dims``.
-
-        Partial tiles at the boundary count as full grid entries, matching how
-        coordinate-space tiling partitions a tensor whose extent is not an
-        exact multiple of the tile shape.
-        """
-        if len(tile_dims) != self.rank:
-            raise ValueError(
-                f"tile has {len(tile_dims)} dims but the shape has rank {self.rank}"
-            )
-        grid = []
-        for extent, tile_extent in zip(self.dims, tile_dims):
-            check_positive_int(tile_extent, "tile dimension")
-            grid.append(math.ceil(extent / tile_extent))
-        return tuple(grid)
-
-    def num_tiles(self, tile_dims: Sequence[int]) -> int:
-        """Total number of coordinate-space tiles of shape ``tile_dims``."""
-        return math.prod(self.tile_grid(tile_dims))

@@ -4,9 +4,8 @@ The paper expresses its kernels in Einstein-summation notation, e.g.
 ``Z[m,n] = A[m,k] * B[k,n]`` (Eq. 1), and evaluates ``A × Aᵀ`` on every
 workload.  This module provides:
 
-* :class:`EinsumSpec` — a tiny parser/validator for two-operand einsums, used
-  by the workload descriptors and the analytical model to know which
-  dimension is shared (contracted) and which are kept.
+* :class:`EinsumSpec` — a tiny parser for two-operand einsums; each kernel
+  of the family names the einsum it instantiates (Table 3 prints them).
 * :class:`MatmulWorkload` — a concrete SpMSpM problem (two sparse operands).
 * :func:`count_spmspm_operations` — exact counting of effectual multiplies
   and output nonzeros, the compute-side inputs to the cycle/energy model.
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -60,8 +59,8 @@ class EinsumSpec:
         """Parse an einsum expression string.
 
         >>> spec = EinsumSpec.parse("Z[m,n] = A[m,k] * B[k,n]")
-        >>> spec.contracted_indices
-        ('k',)
+        >>> spec.b_indices
+        ('k', 'n')
         """
         match = _EINSUM_PATTERN.match(expression)
         if match is None:
@@ -77,52 +76,6 @@ class EinsumSpec:
             operand_b=match["b"],
             b_indices=_split_indices(match["b_idx"]),
         )
-
-    @property
-    def contracted_indices(self) -> Tuple[str, ...]:
-        """Indices that appear in both operands but not in the output."""
-        output = set(self.output_indices)
-        shared = [i for i in self.a_indices if i in self.b_indices and i not in output]
-        return tuple(shared)
-
-    @property
-    def is_matmul(self) -> bool:
-        """True when the spec is a plain matrix multiplication."""
-        return (
-            len(self.a_indices) == 2
-            and len(self.b_indices) == 2
-            and len(self.output_indices) == 2
-            and len(self.contracted_indices) == 1
-        )
-
-    def validate_shapes(self, shapes: Dict[str, Tuple[int, ...]]) -> Dict[str, int]:
-        """Check operand shapes against the index structure.
-
-        ``shapes`` maps tensor name to its dimension tuple.  Returns the
-        resolved extent of every index, raising ``ValueError`` on mismatch.
-        """
-        extents: Dict[str, int] = {}
-        for name, indices in (
-            (self.operand_a, self.a_indices),
-            (self.operand_b, self.b_indices),
-            (self.output, self.output_indices),
-        ):
-            if name not in shapes:
-                continue
-            dims = shapes[name]
-            if len(dims) != len(indices):
-                raise ValueError(
-                    f"tensor {name} has {len(dims)} dimensions but the einsum names "
-                    f"{len(indices)} indices"
-                )
-            for index, extent in zip(indices, dims):
-                if index in extents and extents[index] != extent:
-                    raise ValueError(
-                        f"index {index!r} has conflicting extents "
-                        f"{extents[index]} and {extent}"
-                    )
-                extents[index] = int(extent)
-        return extents
 
 
 #: The matrix-multiplication einsum from Eq. 1 of the paper.
@@ -148,13 +101,6 @@ class OperationCounts:
     effectual_multiplies: int
     output_nonzeros: int
     dense_multiplies: int
-
-    @property
-    def compute_saving(self) -> float:
-        """``dense_multiplies / effectual_multiplies`` (∞-safe)."""
-        if self.effectual_multiplies == 0:
-            return float("inf")
-        return self.dense_multiplies / self.effectual_multiplies
 
 
 def _output_pattern_nnz(a: SparseMatrix, b: SparseMatrix) -> int:

@@ -95,15 +95,6 @@ def uniform_random_matrix(num_rows: int, num_cols: int, nnz: int, *,
     return _build(rows, cols, (num_rows, num_cols), name)
 
 
-def erdos_renyi_matrix(num_nodes: int, density: float, *, rng: RandomState = None,
-                       name: str = "erdos-renyi") -> SparseMatrix:
-    """Erdős–Rényi adjacency matrix with the given edge density."""
-    check_positive_int(num_nodes, "num_nodes")
-    check_fraction(density, "density", inclusive_low=False, inclusive_high=False)
-    nnz = max(1, int(round(density * num_nodes * num_nodes)))
-    return uniform_random_matrix(num_nodes, num_nodes, nnz, rng=rng, name=name)
-
-
 def banded_matrix(num_rows: int, *, bandwidth: int, band_fill: float = 0.6,
                   off_band_nnz: int = 0, rng: RandomState = None,
                   name: str = "banded") -> SparseMatrix:

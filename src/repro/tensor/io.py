@@ -84,16 +84,6 @@ def matrix_market_header(path: PathLike) -> Tuple[int, int, int, bool]:
     return num_rows, num_cols, entries, symmetric
 
 
-def matrix_market_dimensions(path: PathLike) -> Tuple[int, int, int]:
-    """Read only the size line of a MatrixMarket file: ``(rows, cols, nnz)``.
-
-    ``nnz`` is the stored entry count; see :func:`matrix_market_header` for
-    the symmetry-aware variant.
-    """
-    num_rows, num_cols, entries, _ = matrix_market_header(path)
-    return num_rows, num_cols, entries
-
-
 def matrix_market_name(path: PathLike) -> str:
     """The default workload name for a MatrixMarket file (filename stem)."""
     return Path(path).name.replace(".mtx", "").replace(".gz", "")

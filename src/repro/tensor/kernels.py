@@ -75,7 +75,7 @@ from repro.tensor.sparse import DenseOperand, SparseMatrix
 DEFAULT_FEATURE_DIM = 32
 
 #: The einsums of the new kernels (parsed once; ``spmv``/``sddmm`` are
-#: deliberately *not* plain matmuls and are exercised by the EinsumSpec tests).
+#: deliberately *not* plain matmuls).
 SPMM_EINSUM = EinsumSpec.parse("Z[m,f] = A[m,k] * B[k,f]")
 SPMV_EINSUM = EinsumSpec.parse("z[m] = A[m,k] * x[k]")
 SDDMM_EINSUM = EinsumSpec.parse("Z[m,n] = S[m,n] * P[m,n]")

@@ -9,9 +9,7 @@ adds the operations the rest of the library needs:
 * fast *per-tile occupancy* counting for coordinate-space tilings, which
   drives every occupancy-distribution figure (Fig. 1, Fig. 6, Fig. 11–13);
 * row/column structure queries used by the ExTensor dataflow model
-  (intersection counting, per-row-block occupancies);
-* submatrix extraction used when constructing per-tile traces for the
-  Tailors/buffet reuse simulations.
+  (intersection counting, per-row-block occupancies).
 
 :class:`DenseOperand` stands in for a fully-dense operand (the dense factors
 of SpMM, SpMV and SDDMM): it answers the occupancy queries of the tilers and
@@ -21,12 +19,12 @@ the engines from its shape alone, without storing a value or a coordinate.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.tensor.coords import Range, Shape
+from repro.tensor.coords import Shape
 from repro.utils.validation import check_positive_int
 
 #: Monotonically increasing identity tokens for cache keys (see ``uid``).
@@ -99,7 +97,6 @@ class SparseMatrix:
         self._uid = next(_UID_COUNTER)
         self._memo: Dict = {}
         self._transpose_cache: Optional["SparseMatrix"] = None
-        self._gram_cache: Optional["SparseMatrix"] = None
         self._coords_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._row_block_occ_cache: Dict[int, np.ndarray] = {}
         self._tile_occ_cache: Dict[Tuple[int, int], np.ndarray] = {}
@@ -129,12 +126,6 @@ class SparseMatrix:
     def from_dense(cls, array: np.ndarray, name: str = "unnamed") -> "SparseMatrix":
         """Build from a dense NumPy array, dropping the zeros."""
         return cls(sp.csr_matrix(np.asarray(array)), name=name)
-
-    @classmethod
-    def identity(cls, n: int, name: str = "identity") -> "SparseMatrix":
-        """The n-by-n identity matrix (useful in tests)."""
-        check_positive_int(n, "n")
-        return cls(sp.identity(n, format="csr"), name=name)
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -245,36 +236,6 @@ class SparseMatrix:
         """Nonzero values in CSR order."""
         return self._csr.data.copy()
 
-    def iter_nonzeros(self) -> Iterator[Tuple[int, int, float]]:
-        """Iterate over ``(row, col, value)`` triples in row-major order."""
-        indptr = self._csr.indptr
-        indices = self._csr.indices
-        data = self._csr.data
-        for row in range(self.num_rows):
-            for k in range(indptr[row], indptr[row + 1]):
-                yield row, int(indices[k]), float(data[k])
-
-    def row_slice_nnz(self, row_range: Range) -> int:
-        """Occupancy of the row band ``[row_range.start, row_range.stop)``."""
-        indptr = self._csr.indptr
-        start = min(row_range.start, self.num_rows)
-        stop = min(row_range.stop, self.num_rows)
-        return int(indptr[stop] - indptr[start])
-
-    def submatrix(self, row_range: Range, col_range: Range,
-                  name: str | None = None) -> "SparseMatrix":
-        """Extract the tile covering ``row_range`` × ``col_range``.
-
-        The returned matrix has the tile's shape; coordinates are re-based to
-        the tile's origin, which is how tile-local traces are produced for the
-        buffer simulations.
-        """
-        row_range = row_range.clamp(self.num_rows)
-        col_range = col_range.clamp(self.num_cols)
-        block = self._csr[row_range.start:row_range.stop, col_range.start:col_range.stop]
-        tile_name = name or f"{self._name}[{row_range.start}:{row_range.stop},{col_range.start}:{col_range.stop}]"
-        return SparseMatrix._from_owned_csr(sp.csr_matrix(block), name=tile_name)
-
     def transpose(self) -> "SparseMatrix":
         """Return the transposed tensor (used to form ``B = Aᵀ`` workloads).
 
@@ -347,11 +308,6 @@ class SparseMatrix:
             self._row_block_occ_cache[block_rows] = cached
         return cached
 
-    def max_tile_occupancy(self, tile_rows: int, tile_cols: int) -> int:
-        """Largest occupancy over all tiles of the given shape (prescient search)."""
-        occupancies = self.tile_occupancies(tile_rows, tile_cols)
-        return int(occupancies.max()) if occupancies.size else 0
-
     # ------------------------------------------------------------------ #
     # Algebra helpers
     # ------------------------------------------------------------------ #
@@ -373,16 +329,6 @@ class SparseMatrix:
                 product, name=f"{self._name}@{other._name}")
             self._memo[key] = cached
         return cached
-
-    def gram(self) -> "SparseMatrix":
-        """Compute ``A @ Aᵀ``, the SpMSpM kernel evaluated throughout the paper.
-
-        Both the transpose and the product are memoized, so repeated calls
-        (operation counts, reference checks) cost one SpGEMM total.
-        """
-        if self._gram_cache is None:
-            self._gram_cache = self.matmul(self.transpose())
-        return self._gram_cache
 
 
 class DenseOperand:

@@ -11,7 +11,7 @@ determines the tile-occupancy distribution and hence every result in the paper
 
 The realized characteristics of every synthetic workload (dimensions,
 occupancy, sparsity) are what Table 2 of the reproduction reports; see
-``repro.experiments.table2`` and EXPERIMENTS.md.
+``repro.experiments.table2``.
 
 Use :func:`default_suite` for the full 22-workload suite and
 :func:`small_suite` for a fast three-workload suite used by tests and the

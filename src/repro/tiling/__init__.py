@@ -18,13 +18,11 @@ used throughout the evaluation.
 """
 
 from repro.tiling.base import Tile, Tiling, TilingTax
-from repro.tiling.stats import OccupancyStats, utilization_timeline
+from repro.tiling.stats import OccupancyStats
 from repro.tiling.coordinate import (
     dense_row_block_rows,
     prescient_row_block_rows,
-    prescient_uniform_tile_dims,
     row_block_tiling,
-    uniform_shape_tiling,
 )
 from repro.tiling.position import position_space_tiling
 
@@ -33,11 +31,8 @@ __all__ = [
     "Tiling",
     "TilingTax",
     "OccupancyStats",
-    "utilization_timeline",
     "dense_row_block_rows",
     "prescient_row_block_rows",
-    "prescient_uniform_tile_dims",
     "row_block_tiling",
-    "uniform_shape_tiling",
     "position_space_tiling",
 ]

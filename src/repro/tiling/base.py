@@ -112,23 +112,13 @@ class TilingTax:
         """Total elements touched by the tiling strategy itself."""
         return float(self.preprocessing_elements + self.runtime_matching_elements)
 
-    def combined(self, other: "TilingTax") -> "TilingTax":
-        """Sum two taxes (e.g. per-level tilings of the same workload)."""
-        return TilingTax(
-            preprocessing_elements=self.preprocessing_elements + other.preprocessing_elements,
-            candidate_sizes=self.candidate_sizes + other.candidate_sizes,
-            runtime_matching_elements=(
-                self.runtime_matching_elements + other.runtime_matching_elements
-            ),
-        )
-
 
 class GridGeometry:
     """Tile geometry of a regular grid clipped to the matrix extent.
 
-    Covers both uniform-shape 2-D tilings and row-block tilings (the latter is
-    a grid whose tile width equals the full matrix width).  Only four integers
-    are stored; per-tile ranges are derived on demand.
+    Row-block tilings are grids whose tile width equals the full matrix
+    width.  Only four integers are stored; per-tile ranges are derived on
+    demand.
     """
 
     __slots__ = ("num_rows", "num_cols", "tile_rows", "tile_cols",
@@ -288,13 +278,6 @@ class Tiling:
     # ------------------------------------------------------------------ #
     # Constructors
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_grid(cls, matrix: SparseMatrix, tile_rows: int, tile_cols: int,
-                  occupancies, strategy: str, tax: TilingTax | None = None) -> "Tiling":
-        """A regular-grid tiling (uniform shape; boundary tiles clipped)."""
-        geometry = GridGeometry(matrix.num_rows, matrix.num_cols, tile_rows, tile_cols)
-        return cls(matrix, strategy, occupancies, geometry, tax)
-
     @classmethod
     def from_row_blocks(cls, matrix: SparseMatrix, block_rows: int,
                         occupancies, strategy: str,

@@ -2,50 +2,31 @@
 
 Two families are provided, matching the paper's baselines:
 
-* :func:`uniform_shape_tiling` / :func:`row_block_tiling` construct tiles of a
-  fixed shape.  The shape can come from the *dense worst case*
-  (:func:`dense_row_block_rows` — ExTensor-N's policy: assume every point is a
-  nonzero, so a buffer of ``b`` words affords ``b / K`` rows), or from the
-  *prescient* search below.
-* :func:`prescient_row_block_rows` / :func:`prescient_uniform_tile_dims`
-  implement the "prescient uniform shape" baseline (ExTensor-P): find the
-  largest uniform tile whose maximum observed occupancy still fits the buffer.
-  The search must measure the occupancy of every tile for every candidate
-  size; the returned :class:`~repro.tiling.base.TilingTax` records that cost,
-  which is the "very high tiling tax" row of Table 1.
+* :func:`row_block_tiling` constructs tiles of a fixed shape.  The shape can
+  come from the *dense worst case* (:func:`dense_row_block_rows` —
+  ExTensor-N's policy: assume every point is a nonzero, so a buffer of ``b``
+  words affords ``b / K`` rows), or from the *prescient* search below.
+* :func:`prescient_row_block_rows` implements the "prescient uniform shape"
+  baseline (ExTensor-P): find the largest uniform tile whose maximum observed
+  occupancy still fits the buffer.  The search must measure the occupancy of
+  every tile for every candidate size; the returned
+  :class:`~repro.tiling.base.TilingTax` records that cost, which is the "very
+  high tiling tax" row of Table 1.
 
 The ExTensor dataflow the paper evaluates builds tiles by expanding along the
 shared K dimension to its full extent first, then along M (stationary operand)
 or N (streaming operand) — that is precisely a *row-block* tiling of A and a
 *column-block* tiling of B = Aᵀ (equivalently a row-block tiling of A again),
-which is why the row-block helpers are the ones the accelerator model uses.
+which is why the tilings here are row blocks.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from repro.tensor.sparse import SparseMatrix
 from repro.tiling.base import Tiling, TilingTax
 from repro.utils.validation import check_positive_int
-
-
-def uniform_shape_tiling(matrix: SparseMatrix, tile_rows: int, tile_cols: int,
-                         *, strategy: str = "uniform-shape",
-                         tax: TilingTax | None = None) -> Tiling:
-    """Partition ``matrix`` into a grid of fixed-shape tiles.
-
-    Boundary tiles are clipped to the matrix extent.  The per-tile occupancies
-    are computed in a single ``O(nnz)`` pass and the tiling is assembled
-    without materializing per-tile objects.
-    """
-    check_positive_int(tile_rows, "tile_rows")
-    check_positive_int(tile_cols, "tile_cols")
-    occupancies = matrix.tile_occupancies(tile_rows, tile_cols, include_empty=True)
-    return Tiling.from_grid(matrix, tile_rows, tile_cols, occupancies,
-                            strategy=strategy, tax=tax)
 
 
 def row_block_tiling(matrix: SparseMatrix, block_rows: int, *,
@@ -119,38 +100,3 @@ def prescient_row_block_rows(matrix: SparseMatrix, capacity: int,
     tax = TilingTax(preprocessing_elements=candidates_examined * matrix.nnz,
                     candidate_sizes=candidates_examined)
     return low, tax
-
-
-def prescient_uniform_tile_dims(matrix: SparseMatrix, capacity: int,
-                                *, aspect: float = 1.0,
-                                max_candidates: int = 64) -> Tuple[Tuple[int, int], TilingTax]:
-    """Largest square-ish 2-D tile whose maximum occupancy fits ``capacity``.
-
-    Tiles are constrained to ``rows = aspect * cols`` (rounded); the search
-    sweeps geometrically-spaced candidate sizes and keeps the largest one whose
-    worst tile still fits.  Used by the Fig. 1 / Table 1 experiments, where the
-    tiling is two-dimensional rather than the dataflow's row blocks.
-    """
-    check_positive_int(capacity, "capacity")
-    if aspect <= 0:
-        raise ValueError(f"aspect must be positive, got {aspect}")
-
-    candidates_examined = 0
-    best = (1, 1)
-    best_size = 0
-    # Geometric sweep over tile "area" from a single point to the whole matrix.
-    max_area = matrix.num_rows * matrix.num_cols
-    areas = np.unique(np.geomspace(1, max_area, num=max_candidates).astype(np.int64))
-    for area in areas:
-        cols = max(1, int(round(np.sqrt(area / aspect))))
-        rows = max(1, int(round(aspect * cols)))
-        rows = min(rows, matrix.num_rows)
-        cols = min(cols, matrix.num_cols)
-        candidates_examined += 1
-        worst = matrix.max_tile_occupancy(rows, cols)
-        if worst <= capacity and rows * cols > best_size:
-            best = (rows, cols)
-            best_size = rows * cols
-    tax = TilingTax(preprocessing_elements=candidates_examined * matrix.nnz,
-                    candidate_sizes=candidates_examined)
-    return best, tax

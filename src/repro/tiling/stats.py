@@ -124,16 +124,3 @@ class OccupancyStats:
             "p90": self.percentile(90.0),
             "p99": self.percentile(99.0),
         }
-
-
-def utilization_timeline(occupancies: Sequence[int], capacity: int) -> np.ndarray:
-    """Per-tile buffer utilization over the execution, in tile order.
-
-    Each entry is ``min(occupancy, capacity) / capacity`` — the utilization of
-    the buffer during the period the corresponding tile is resident.  Used by
-    the Table 1 experiment to show *how often* the buffer sits underutilized
-    (the "less than 10% for 90% of the time" observation in the introduction).
-    """
-    check_positive(capacity, "capacity")
-    array = np.asarray(occupancies, dtype=np.float64)
-    return np.minimum(array, capacity) / capacity

@@ -3,13 +3,13 @@
 Every stochastic component of the reproduction (synthetic tensor generators,
 Swiftiles tile sampling, workload suites) accepts either a seed or an existing
 :class:`numpy.random.Generator`.  Routing everything through
-:func:`resolve_rng` keeps experiments reproducible run-to-run, which matters
-because EXPERIMENTS.md records measured numbers.
+:func:`resolve_rng` keeps experiments reproducible run-to-run, which the
+golden-report tests and the byte-identical artifacts rely on.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -50,16 +50,3 @@ def resolve_rng(rng: RandomState = None) -> np.random.Generator:
     raise TypeError(
         f"rng must be None, an int seed, or a numpy Generator; got {type(rng).__name__}"
     )
-
-
-def spawn(rng: RandomState, count: int) -> list[np.random.Generator]:
-    """Split a generator into ``count`` independent child generators.
-
-    Used by the workload suite so that each synthetic tensor draws from its own
-    stream and adding a new workload does not perturb existing ones.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    parent = resolve_rng(rng)
-    seeds = parent.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

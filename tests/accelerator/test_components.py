@@ -31,10 +31,6 @@ class TestArchitectureConfig:
         assert config.num_pes == 4
         assert config.glb_capacity_words == scaled_default_config().glb_capacity_words
 
-    def test_cycles_to_seconds(self):
-        config = scaled_default_config().with_overrides(frequency_hz=2.0e9)
-        assert config.cycles_to_seconds(2.0e9) == pytest.approx(1.0)
-
     def test_invalid_fifo_fraction(self):
         with pytest.raises(ValueError):
             ArchitectureConfig(glb_fifo_fraction=0.0)

@@ -129,8 +129,7 @@ def _all_kernel_reports(max_workers):
     contexts = {kernel: base.with_kernel(kernel) for kernel in kernel_names()}
     requests = [request for ctx in contexts.values()
                 for request in requests_for_context(ctx)]
-    stats = EvaluationScheduler(
-        max_workers=max_workers, min_parallel_requests=1).prefetch(requests)
+    stats = EvaluationScheduler(max_workers=max_workers).prefetch(requests)
     reports = {
         (kernel, name): ctx.reports(name)
         for kernel, ctx in contexts.items() for name in ctx.workload_names
@@ -161,7 +160,7 @@ class TestCorpusParallelBitIdentical:
     def test_worker_rebuilt_requests_are_memo_hits_afterwards(self):
         _all_kernel_reports(max_workers=2)
         context = ExperimentContext(suite=_fixture_suite())
-        stats = EvaluationScheduler(max_workers=2, min_parallel_requests=1) \
+        stats = EvaluationScheduler(max_workers=2) \
             .prefetch(requests_for_context(context))
         assert stats.computed == 0
         assert stats.warm == len(CORPUS_IDS)

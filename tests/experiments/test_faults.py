@@ -149,8 +149,7 @@ class TestBrokenPoolRecovery:
     def test_single_break_respawns_and_finishes(self, test_suite, capsys):
         requests = self._cold_requests(test_suite)
         _FlakyPool.breaks_remaining = 1
-        stats = EvaluationScheduler(max_workers=2,
-                                    min_parallel_requests=2).prefetch(requests)
+        stats = EvaluationScheduler(max_workers=2).prefetch(requests)
         assert stats.pool_restarts == 1
         assert not stats.degraded_serial
         assert stats.computed == len(requests)
@@ -160,8 +159,7 @@ class TestBrokenPoolRecovery:
     def test_second_break_degrades_to_serial(self, test_suite, capsys):
         requests = self._cold_requests(test_suite)
         _FlakyPool.breaks_remaining = 2
-        stats = EvaluationScheduler(max_workers=2,
-                                    min_parallel_requests=2).prefetch(requests)
+        stats = EvaluationScheduler(max_workers=2).prefetch(requests)
         assert stats.pool_restarts == 2
         assert stats.degraded_serial
         assert all(r.memo_key in CACHE.reports for r in requests)
@@ -169,12 +167,11 @@ class TestBrokenPoolRecovery:
 
     def test_no_break_means_no_restarts(self, test_suite):
         requests = self._cold_requests(test_suite)
-        stats = EvaluationScheduler(max_workers=2,
-                                    min_parallel_requests=2).prefetch(requests)
+        stats = EvaluationScheduler(max_workers=2).prefetch(requests)
         assert stats.pool_restarts == 0 and not stats.degraded_serial
 
     def test_next_prefetch_after_a_break_gets_a_new_pool(self, test_suite):
-        scheduler = EvaluationScheduler(max_workers=2, min_parallel_requests=2)
+        scheduler = EvaluationScheduler(max_workers=2)
         _FlakyPool.breaks_remaining = 2
         scheduler.prefetch(self._cold_requests(test_suite))
         broken = list(_FlakyPool.created)

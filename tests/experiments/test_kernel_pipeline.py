@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import registry
+from repro.experiments import scheduler as scheduler_module
 from repro.experiments.runner import ExperimentContext, clear_process_caches
 from repro.experiments.scheduler import (
     EvaluationScheduler,
@@ -68,18 +69,19 @@ class TestKernelContexts:
         workload = context.workload("tiny-fem")
         assert workload.kernel == "gram"
         assert workload.b.csr.shape == workload.a.csr.shape[::-1]
-        assert workload.matmul is workload.workload  # back-compat alias
 
 
 class TestSchedulerKernelAxis:
-    def test_parallel_matches_serial_for_spmm(self):
+    def test_parallel_matches_serial_for_spmm(self, monkeypatch):
         """Acceptance criterion: non-Gram parallel reports == serial."""
+        # Three cold requests: below the pooling threshold unless lowered.
+        monkeypatch.setattr(scheduler_module, "MIN_PARALLEL_REQUESTS", 1)
         clear_process_caches()
         serial = ExperimentContext.quick(kernel="spmm").all_reports()
 
         clear_process_caches()
         context = ExperimentContext.quick(kernel="spmm")
-        stats = EvaluationScheduler(max_workers=2, min_parallel_requests=1) \
+        stats = EvaluationScheduler(max_workers=2) \
             .prefetch(requests_for_context(context))
         assert stats.computed == 3 and stats.workers == 2
         parallel = context.all_reports()

@@ -23,8 +23,12 @@ from repro.server.service import EvaluationService
 @pytest.fixture()
 def pools(monkeypatch):
     """Every executor the scheduler constructs during the test (shut down
-    afterwards, so a failing test leaves no workers to the next one)."""
+    afterwards, so a failing test leaves no workers to the next one).
+
+    The tests prefetch grids of three cold requests, so the pooling
+    threshold is lowered to let every such prefetch use the pool."""
     created = []
+    monkeypatch.setattr(scheduler_module, "MIN_PARALLEL_REQUESTS", 1)
 
     class RecordingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
@@ -47,8 +51,7 @@ def _worker_pids():
 
 def test_prefetches_share_one_pool_and_its_workers(test_suite, pools):
     clear_process_caches()
-    with EvaluationScheduler(max_workers=2,
-                             min_parallel_requests=1) as scheduler:
+    with EvaluationScheduler(max_workers=2) as scheduler:
         first = scheduler.prefetch(_requests(test_suite, 0.05))
         first_pids = _worker_pids()
         second = scheduler.prefetch(_requests(test_suite, 0.10))
@@ -62,7 +65,7 @@ def test_prefetches_share_one_pool_and_its_workers(test_suite, pools):
 
 def test_close_is_idempotent_and_releases_workers(test_suite, pools):
     clear_process_caches()
-    scheduler = EvaluationScheduler(max_workers=2, min_parallel_requests=1)
+    scheduler = EvaluationScheduler(max_workers=2)
     scheduler.prefetch(_requests(test_suite, 0.05))
     assert len(_worker_pids()) == 2
     scheduler.close()
@@ -77,7 +80,7 @@ def test_close_is_idempotent_and_releases_workers(test_suite, pools):
 
 def test_dropped_scheduler_releases_its_workers(test_suite, pools):
     clear_process_caches()
-    EvaluationScheduler(max_workers=2, min_parallel_requests=1).prefetch(
+    EvaluationScheduler(max_workers=2).prefetch(
         _requests(test_suite, 0.05))
     assert len(pools) == 1
     assert multiprocessing.active_children() == []
@@ -92,8 +95,7 @@ def test_sweep_grid_closes_the_scheduler_it_builds(test_suite, pools):
 
 def test_sweep_grid_leaves_a_passed_scheduler_open(test_suite, pools):
     clear_process_caches()
-    with EvaluationScheduler(max_workers=2,
-                             min_parallel_requests=1) as scheduler:
+    with EvaluationScheduler(max_workers=2) as scheduler:
         sweep_grid(test_suite, y_values=[0.05], scheduler=scheduler)
         pids = _worker_pids()
         assert len(pids) == 2
@@ -134,8 +136,7 @@ def test_threads_sharing_a_pooled_scheduler_match_serial(test_suite, pools):
     clear_process_caches()
     barrier = threading.Barrier(len(grids))
     errors = []
-    with EvaluationScheduler(max_workers=2,
-                             min_parallel_requests=1) as scheduler:
+    with EvaluationScheduler(max_workers=2) as scheduler:
         def prefetch(grid):
             try:
                 barrier.wait()

@@ -15,7 +15,9 @@ from repro.experiments.runner import (
     ExperimentContext,
     clear_process_caches,
 )
+from repro.experiments import scheduler as scheduler_module
 from repro.experiments.scheduler import (
+    MIN_PARALLEL_REQUESTS,
     EvaluationRequest,
     EvaluationScheduler,
     requests_for_context,
@@ -75,7 +77,7 @@ class TestParallelEqualsSerial:
 
         clear_process_caches()
         context = ExperimentContext.full()
-        scheduler = EvaluationScheduler(max_workers=2, min_parallel_requests=1)
+        scheduler = EvaluationScheduler(max_workers=2)
         stats = scheduler.prefetch(requests_for_context(context))
         assert stats.computed == len(context.workload_names)
         assert stats.workers == 2
@@ -83,14 +85,17 @@ class TestParallelEqualsSerial:
 
         _assert_reports_equal(serial, parallel)
 
-    def test_quick_suite_two_workers_matches_serial(self):
+    def test_quick_suite_two_workers_matches_serial(self, monkeypatch):
+        # Three cold requests: below the pooling threshold unless lowered.
+        monkeypatch.setattr(scheduler_module, "MIN_PARALLEL_REQUESTS", 1)
         clear_process_caches()
         serial = _engine_reports(ExperimentContext.quick())
 
         clear_process_caches()
         context = ExperimentContext.quick()
-        EvaluationScheduler(max_workers=2, min_parallel_requests=1) \
+        stats = EvaluationScheduler(max_workers=2) \
             .prefetch(requests_for_context(context))
+        assert stats.workers == 2
         _assert_reports_equal(serial, context.all_reports())
 
 
@@ -116,8 +121,9 @@ class TestSchedulerBookkeeping:
     def test_serial_fallback_below_threshold(self):
         clear_process_caches()
         context = ExperimentContext.quick()
-        stats = EvaluationScheduler(max_workers=8, min_parallel_requests=50) \
-            .prefetch(requests_for_context(context))
+        requests = requests_for_context(context)
+        assert len(requests) < MIN_PARALLEL_REQUESTS
+        stats = EvaluationScheduler(max_workers=8).prefetch(requests)
         assert stats.computed == 3
         assert stats.workers <= 1  # fell back to in-process evaluation
 
@@ -159,7 +165,7 @@ class TestSweepThroughScheduler:
         clear_process_caches()
         parallel = sweep_grid(
             small_suite(), y_values=y_values,
-            scheduler=EvaluationScheduler(max_workers=2, min_parallel_requests=1))
+            scheduler=EvaluationScheduler(max_workers=2))
         assert parallel.schedule.workers == 2
         assert parallel.schedule.computed == 9  # 3 targets x 3 workloads
 

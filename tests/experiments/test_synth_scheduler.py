@@ -46,8 +46,7 @@ def _all_kernel_reports(max_workers):
     contexts = {kernel: base.with_kernel(kernel) for kernel in kernel_names()}
     requests = [request for ctx in contexts.values()
                 for request in requests_for_context(ctx)]
-    stats = EvaluationScheduler(
-        max_workers=max_workers, min_parallel_requests=1).prefetch(requests)
+    stats = EvaluationScheduler(max_workers=max_workers).prefetch(requests)
     reports = {
         (kernel, name): ctx.reports(name)
         for kernel, ctx in contexts.items() for name in ctx.workload_names
@@ -78,7 +77,7 @@ class TestSynthParallelBitIdentical:
         _, _ = _all_kernel_reports(max_workers=2)
         suite = synth_suite(SPECS)
         context = ExperimentContext(suite=suite)
-        stats = EvaluationScheduler(max_workers=2, min_parallel_requests=1) \
+        stats = EvaluationScheduler(max_workers=2) \
             .prefetch(requests_for_context(context))
         assert stats.computed == 0
         assert stats.warm == len(SPECS)
@@ -92,8 +91,7 @@ class TestSynthSweepParallel:
         serial = sweep_grid(synth_suite(SPECS), max_workers=1, **grid)
         clear_process_caches()
         parallel = sweep_grid(synth_suite(SPECS),
-                              scheduler=EvaluationScheduler(
-                                  max_workers=2, min_parallel_requests=1),
+                              scheduler=EvaluationScheduler(max_workers=2),
                               **grid)
 
         assert [r.workload for r in parallel.rows] == \

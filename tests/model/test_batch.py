@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.accelerator.config import ArchitectureConfig, scaled_default_config
 from repro.accelerator.extensor import AcceleratorVariant, ExTensorModel
-from repro.model.batch import BatchWorkloadEvaluator, config_grid
+from repro.model.batch import BatchWorkloadEvaluator
 from repro.model.workload import WorkloadDescriptor
 from repro.tensor.kernels import kernel_names
 from repro.tensor.suite import synth_suite
@@ -47,6 +47,19 @@ def assert_reports_match(got, want, context=""):
         assert g.details == w.details, (context, name, "details")
         # Full dataclass equality sweeps up every remaining field.
         assert g == w, (context, name)
+
+
+def config_grid(base, *, y_values, glb_capacities=None,
+                pe_buffer_capacities=None, num_pes=None):
+    """The cross product of the axes as ``(architecture, y)`` cells; an axis
+    left ``None`` stays at the base architecture's value."""
+    return [(base.with_overrides(glb_capacity_words=glb,
+                                 pe_buffer_capacity_words=pe, num_pes=pes),
+             float(y))
+            for glb in glb_capacities or (base.glb_capacity_words,)
+            for pe in pe_buffer_capacities or (base.pe_buffer_capacity_words,)
+            for pes in num_pes or (base.num_pes,)
+            for y in y_values]
 
 
 SMALL_GRID = dict(
@@ -170,22 +183,6 @@ class TestRandomGrids:
         for (architecture, y), got in zip(configs, batched):
             want = golden_reports(workload, architecture, y)
             assert_reports_match(got, want, f"hyp/y={y}")
-
-
-class TestConfigGrid:
-    def test_axis_order_and_base_reuse(self):
-        base = scaled_default_config()
-        configs = config_grid(base, y_values=(0.1, 0.2),
-                              num_pes=(base.num_pes, 64))
-        assert [(a.num_pes, y) for a, y in configs] == [
-            (base.num_pes, 0.1), (base.num_pes, 0.2), (64, 0.1), (64, 0.2)]
-        # Cells at the base architecture reuse the object (no copies).
-        assert configs[0][0] is base
-
-    def test_defaults_stay_at_base(self):
-        base = scaled_default_config()
-        configs = config_grid(base, y_values=(0.1,))
-        assert configs == [(base, 0.1)]
 
 
 class TestArchitectureHashCache:

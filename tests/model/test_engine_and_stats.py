@@ -12,10 +12,7 @@ from repro.accelerator.extensor import (
 )
 from repro.model.sparsity import TileOccupancyModel
 from repro.model.stats import (
-    ComparisonRow,
     PerformanceReport,
-    arithmetic_mean,
-    comparison_summary,
     geometric_mean,
 )
 from repro.model.workload import WorkloadDescriptor
@@ -37,19 +34,6 @@ class TestGeometricMean:
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
 
-    def test_arithmetic_mean(self):
-        assert arithmetic_mean([1.0, 3.0]) == 2.0
-
-    def test_comparison_summary(self):
-        rows = [ComparisonRow("a", 2.0, 4.0), ComparisonRow("b", 8.0, 16.0)]
-        summary = comparison_summary(rows)
-        assert summary.workload == "geomean"
-        assert summary.prescient_vs_naive == pytest.approx(4.0)
-        assert summary.overbooking_vs_prescient == pytest.approx(2.0)
-
-    def test_comparison_summary_empty(self):
-        assert comparison_summary([]) is None
-
 
 class TestWorkloadDescriptor:
     def test_gram_construction(self, powerlaw):
@@ -61,14 +45,6 @@ class TestWorkloadDescriptor:
         workload = WorkloadDescriptor.gram(powerlaw)
         first = workload.operation_counts
         assert workload.operation_counts is first
-
-    def test_summary_keys(self, powerlaw):
-        summary = WorkloadDescriptor.gram(powerlaw).summary()
-        assert {"name", "rows", "nnz", "effectual_multiplies"} <= set(summary)
-
-    def test_footprint(self, powerlaw):
-        workload = WorkloadDescriptor.gram(powerlaw)
-        assert workload.footprint_nonzeros == 2 * powerlaw.nnz
 
 
 class TestTileOccupancyModel:

@@ -28,16 +28,6 @@ class TestRange:
         with pytest.raises(ValueError):
             Range(-1, 2)
 
-    def test_intersect_overlap(self):
-        assert Range(0, 10).intersect(Range(5, 20)) == Range(5, 10)
-
-    def test_intersect_disjoint_is_empty(self):
-        assert len(Range(0, 3).intersect(Range(7, 9))) == 0
-
-    def test_clamp(self):
-        assert Range(4, 12).clamp(8) == Range(4, 8)
-        assert Range(10, 12).clamp(8) == Range(8, 8)
-
 
 class TestShape:
     def test_size_is_product(self):
@@ -58,25 +48,3 @@ class TestShape:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Shape([])
-
-    def test_contains_point(self):
-        shape = Shape([3, 3])
-        assert shape.contains((0, 0)) and shape.contains((2, 2))
-        assert not shape.contains((3, 0))
-
-    def test_contains_wrong_rank_raises(self):
-        with pytest.raises(ValueError):
-            Shape([3, 3]).contains((1,))
-
-    def test_tile_grid_exact_division(self):
-        assert Shape([8, 8]).tile_grid([4, 2]) == (2, 4)
-
-    def test_tile_grid_rounds_up(self):
-        assert Shape([9, 5]).tile_grid([4, 4]) == (3, 2)
-
-    def test_num_tiles(self):
-        assert Shape([9, 5]).num_tiles([4, 4]) == 6
-
-    def test_tile_grid_rank_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            Shape([4, 4]).tile_grid([2])

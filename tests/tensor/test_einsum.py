@@ -1,6 +1,8 @@
 """Tests for einsum parsing and SpMSpM operation counting."""
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.tensor.einsum import (
     EinsumSpec,
@@ -18,16 +20,6 @@ class TestEinsumSpec:
         assert spec.a_indices == ("m", "k")
         assert spec.b_indices == ("k", "n")
 
-    def test_contracted_indices(self):
-        assert MATMUL_EINSUM.contracted_indices == ("k",)
-
-    def test_is_matmul(self):
-        assert MATMUL_EINSUM.is_matmul
-
-    def test_non_matmul_contraction(self):
-        spec = EinsumSpec.parse("Z[m] = A[m,k] * B[k,m]")
-        assert not spec.is_matmul
-
     def test_parse_whitespace_tolerant(self):
         spec = EinsumSpec.parse("  Z[ m , n ]  =  A[ m , k ] * B[ k , n ] ")
         assert spec.output_indices == ("m", "n")
@@ -36,21 +28,9 @@ class TestEinsumSpec:
         with pytest.raises(ValueError):
             EinsumSpec.parse("Z = A * B")
 
-    def test_validate_shapes_ok(self):
-        extents = MATMUL_EINSUM.validate_shapes({"A": (3, 4), "B": (4, 5)})
-        assert extents == {"m": 3, "k": 4, "n": 5}
-
-    def test_validate_shapes_conflict(self):
-        with pytest.raises(ValueError):
-            MATMUL_EINSUM.validate_shapes({"A": (3, 4), "B": (5, 6)})
-
-    def test_validate_shapes_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            MATMUL_EINSUM.validate_shapes({"A": (3, 4, 5)})
-
 
 class TestEinsumSpecErrorPaths:
-    """Error paths and non-matmul specs exercised by the kernel family."""
+    """Error paths of the parser."""
 
     @pytest.mark.parametrize("expression", [
         "Z[m,] = A[m,k] * B[k,n]",      # trailing comma: empty index
@@ -71,46 +51,10 @@ class TestEinsumSpecErrorPaths:
         with pytest.raises(ValueError, match="expected an expression"):
             EinsumSpec.parse(expression)
 
-    def test_validate_shapes_names_the_conflicting_index(self):
-        with pytest.raises(ValueError, match="index 'k'"):
-            MATMUL_EINSUM.validate_shapes({"A": (3, 4), "B": (5, 6)})
-
-    def test_validate_shapes_rank_mismatch_names_the_tensor(self):
-        with pytest.raises(ValueError, match="tensor B has 3 dimensions"):
-            MATMUL_EINSUM.validate_shapes({"B": (4, 5, 6)})
-
-    def test_validate_shapes_skips_unknown_tensors(self):
-        extents = MATMUL_EINSUM.validate_shapes({"A": (3, 4), "Q": (9, 9)})
-        assert extents == {"m": 3, "k": 4}
-
-    def test_validate_output_conflict_detected(self):
-        with pytest.raises(ValueError, match="conflicting extents"):
-            MATMUL_EINSUM.validate_shapes(
-                {"A": (3, 4), "B": (4, 5), "Z": (3, 7)})
-
-    def test_contracted_indices_spmv(self):
-        spec = EinsumSpec.parse("z[m] = A[m,k] * x[k]")
-        assert spec.contracted_indices == ("k",)
-        assert not spec.is_matmul
-        extents = spec.validate_shapes({"A": (6, 9), "x": (9,)})
-        assert extents == {"m": 6, "k": 9}
-
-    def test_contracted_indices_sddmm_elementwise(self):
-        # The SDDMM sampling einsum contracts nothing: every index of both
-        # operands survives into the output.
-        spec = EinsumSpec.parse("Z[m,n] = S[m,n] * P[m,n]")
-        assert spec.contracted_indices == ()
-        assert not spec.is_matmul
-
-    def test_contracted_indices_batched_contraction(self):
-        spec = EinsumSpec.parse("Z[b,m,n] = A[b,m,k] * B[b,k,n]")
-        assert spec.contracted_indices == ("k",)
-        assert not spec.is_matmul  # rank-3 operands are not a plain matmul
-
 
 class TestOperationCounts:
     def test_identity_times_identity(self):
-        eye = SparseMatrix.identity(5)
+        eye = SparseMatrix(sp.identity(5))
         counts = count_spmspm_operations(eye, eye)
         assert counts.effectual_multiplies == 5
         assert counts.output_nonzeros == 5
@@ -121,15 +65,12 @@ class TestOperationCounts:
         # sum over k of nnz(col k of A) * nnz(row k of A^T) = sum col_occ^2.
         col_occ = tiny_dense_matrix.col_occupancies()
         assert counts.effectual_multiplies == int((col_occ ** 2).sum())
-        assert counts.output_nonzeros == tiny_dense_matrix.gram().nnz
-
-    def test_compute_saving(self, powerlaw):
-        counts = count_spmspm_operations(powerlaw, powerlaw.transpose())
-        assert counts.compute_saving > 1.0
+        assert counts.output_nonzeros == np.count_nonzero(
+            tiny_dense_matrix.to_dense() @ tiny_dense_matrix.to_dense().T)
 
     def test_dimension_mismatch_raises(self, tiny_dense_matrix):
         with pytest.raises(ValueError):
-            count_spmspm_operations(tiny_dense_matrix, SparseMatrix.identity(3))
+            count_spmspm_operations(tiny_dense_matrix, SparseMatrix(sp.identity(3)))
 
 
 class TestMatmulWorkload:
@@ -143,14 +84,15 @@ class TestMatmulWorkload:
 
     def test_reference_result_matches_scipy(self, tiny_dense_matrix):
         workload = MatmulWorkload.gram(tiny_dense_matrix)
-        assert workload.reference_result() == tiny_dense_matrix.gram()
+        dense = tiny_dense_matrix.to_dense()
+        assert np.allclose(workload.reference_result().to_dense(), dense @ dense.T)
 
     def test_incompatible_operands_raise(self, tiny_dense_matrix):
         with pytest.raises(ValueError):
-            MatmulWorkload(a=tiny_dense_matrix, b=SparseMatrix.identity(3))
+            MatmulWorkload(a=tiny_dense_matrix, b=SparseMatrix(sp.identity(3)))
 
     def test_einsum_property(self, tiny_dense_matrix):
-        assert MatmulWorkload.gram(tiny_dense_matrix).einsum.is_matmul
+        assert MatmulWorkload.gram(tiny_dense_matrix).einsum is MATMUL_EINSUM
 
     def test_operation_counts_consistent(self, banded):
         workload = MatmulWorkload.gram(banded)

@@ -35,16 +35,6 @@ class TestUniformRandom:
             generators.uniform_random_matrix(10, 10, 0, rng=0)
 
 
-class TestErdosRenyi:
-    def test_density_approximate(self):
-        m = generators.erdos_renyi_matrix(200, 0.05, rng=1)
-        assert abs(m.density - 0.05) < 0.01
-
-    def test_invalid_density_raises(self):
-        with pytest.raises(ValueError):
-            generators.erdos_renyi_matrix(100, 0.0, rng=1)
-
-
 class TestBanded:
     def test_square_shape(self):
         m = generators.banded_matrix(128, bandwidth=4, rng=0)

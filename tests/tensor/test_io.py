@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tensor.io import (
-    matrix_market_dimensions,
+    matrix_market_header,
     matrix_market_name,
     read_matrix_market,
     write_matrix_market,
@@ -16,19 +16,19 @@ class TestHeaderOnlyReads:
     def test_dimensions_without_parsing_entries(self, tmp_path, powerlaw):
         path = tmp_path / "graph.mtx"
         write_matrix_market(powerlaw, path)
-        assert matrix_market_dimensions(path) == (
-            powerlaw.num_rows, powerlaw.num_cols, powerlaw.nnz)
+        assert matrix_market_header(path) == (
+            powerlaw.num_rows, powerlaw.num_cols, powerlaw.nnz, False)
 
     def test_dimensions_through_gzip(self, tmp_path, tiny_dense_matrix):
         path = tmp_path / "tiny.mtx.gz"
         write_matrix_market(tiny_dense_matrix, path)
-        assert matrix_market_dimensions(path) == (4, 4, tiny_dense_matrix.nnz)
+        assert matrix_market_header(path) == (4, 4, tiny_dense_matrix.nnz, False)
 
     def test_dimensions_reject_non_matrix_market(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text("not a header\n")
         with pytest.raises(ValueError, match="MatrixMarket"):
-            matrix_market_dimensions(path)
+            matrix_market_header(path)
 
     def test_name_strips_extensions(self):
         assert matrix_market_name("/data/cage12.mtx.gz") == "cage12"

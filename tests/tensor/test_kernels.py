@@ -103,8 +103,8 @@ class TestSpMV:
 
     def test_einsum_is_not_a_matmul(self, sparse_a, rng):
         workload = SpMVWorkload(sparse_a, dense_operand(rng, sparse_a.num_cols, 1))
-        assert workload.einsum.contracted_indices == ("k",)
-        assert not workload.einsum.is_matmul
+        assert workload.einsum.b_indices == ("k",)
+        assert workload.einsum.output_indices == ("m",)
 
 
 class TestSDDMM:

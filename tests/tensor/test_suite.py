@@ -113,9 +113,11 @@ class TestPairedOperands:
     def test_explicit_b_builder_wins(self, test_suite):
         from dataclasses import replace
 
+        import scipy.sparse as sp
+
         from repro.tensor.sparse import SparseMatrix
 
-        other = SparseMatrix.identity(600, name="explicit-b")
+        other = SparseMatrix(sp.identity(600), name="explicit-b")
         spec = replace(test_suite.spec("tiny-fem"),
                        b_builder=lambda rng: other)
         suite = WorkloadSuite([spec], seed=test_suite.seed)

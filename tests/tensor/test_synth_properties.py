@@ -5,8 +5,8 @@ registry and checks the tiling invariants the whole evaluation pipeline rests
 on:
 
 * **partition** — every stored nonzero lands in exactly one tile, for both
-  the uniform-grid and row-block coordinate-space tilings (the occupancy
-  array sums to ``nnz`` and no tile is counted twice);
+  the uniform-grid tile occupancies and the row-block coordinate-space tiling
+  (the occupancy array sums to ``nnz`` and no tile is counted twice);
 * **round-trip** — the structure-of-arrays :class:`~repro.tiling.base.Tiling`
   agrees tile-by-tile with a dense NumPy reference (counting nonzeros inside
   each tile's coordinate rectangle), i.e. the vectorized occupancy scan and
@@ -27,7 +27,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.tensor.synth import SynthSpec
-from repro.tiling.coordinate import row_block_tiling, uniform_shape_tiling
+from repro.tiling.coordinate import row_block_tiling
 
 #: Keep generated matrices small: the point is structural diversity, not size.
 _PROPERTY_SETTINGS = settings(
@@ -88,11 +88,11 @@ def _dense_tile_count(dense: np.ndarray, tile) -> int:
 def test_uniform_tiling_partitions_every_nonzero(spec, seed, tile_rows,
                                                  tile_cols):
     matrix = spec.build(np.random.default_rng(seed))
-    tiling = uniform_shape_tiling(matrix, tile_rows, tile_cols)
+    occupancies = matrix.tile_occupancies(tile_rows, tile_cols)
     grid_rows = -(-matrix.num_rows // tile_rows)
     grid_cols = -(-matrix.num_cols // tile_cols)
-    assert len(tiling) == grid_rows * grid_cols
-    assert int(tiling.occupancies().sum()) == matrix.nnz
+    assert len(occupancies) == grid_rows * grid_cols
+    assert int(occupancies.sum()) == matrix.nnz
 
 
 @_PROPERTY_SETTINGS
@@ -102,14 +102,12 @@ def test_uniform_tiling_matches_dense_reference(spec, seed, tile_rows,
                                                 tile_cols):
     matrix = spec.build(np.random.default_rng(seed))
     dense = matrix.to_dense()
-    tiling = uniform_shape_tiling(matrix, tile_rows, tile_cols)
-    covered = np.zeros(dense.shape, dtype=np.int32)
-    for tile in tiling:
-        assert tile.occupancy == _dense_tile_count(dense, tile)
-        covered[tile.row_range.start:tile.row_range.stop,
-                tile.col_range.start:tile.col_range.stop] += 1
-    # The tiles cover every coordinate point exactly once (no overlap, no gap).
-    assert np.all(covered == 1)
+    # Row-major tile order over a grid anchored at the origin, boundary tiles
+    # clipped to the matrix extent.
+    expected = [int(np.count_nonzero(dense[row:row + tile_rows, col:col + tile_cols]))
+                for row in range(0, matrix.num_rows, tile_rows)
+                for col in range(0, matrix.num_cols, tile_cols)]
+    assert matrix.tile_occupancies(tile_rows, tile_cols).tolist() == expected
 
 
 @_PROPERTY_SETTINGS
@@ -130,7 +128,7 @@ def test_row_block_tiling_matches_dense_reference(spec, seed, block_rows):
 def test_soa_views_round_trip(spec, seed):
     """The SoA occupancy array and the lazy Tile views agree everywhere."""
     matrix = spec.build(np.random.default_rng(seed))
-    tiling = uniform_shape_tiling(matrix, 16, 16)
+    tiling = row_block_tiling(matrix, 16)
     views = list(tiling)
     assert [tile.occupancy for tile in views] == tiling.occupancies().tolist()
     assert [tile.index for tile in views] == list(range(len(tiling)))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.tensor.coords import Range
 from repro.tiling.base import Tile, TilingTax
-from repro.tiling.coordinate import row_block_tiling, uniform_shape_tiling
+from repro.tiling.coordinate import row_block_tiling
 
 
 class TestTile:
@@ -36,14 +36,6 @@ class TestTilingTax:
                         runtime_matching_elements=50)
         assert tax.total_elements == 150
 
-    def test_combined(self):
-        a = TilingTax(preprocessing_elements=10)
-        b = TilingTax(runtime_matching_elements=5, candidate_sizes=1)
-        combined = a.combined(b)
-        assert combined.preprocessing_elements == 10
-        assert combined.runtime_matching_elements == 5
-        assert combined.candidate_sizes == 1
-
     def test_default_is_free(self):
         assert TilingTax().total_elements == 0
 
@@ -54,8 +46,8 @@ class TestTilingTax:
 
 class TestTiling:
     def test_occupancies_and_totals(self, tiny_dense_matrix):
-        tiling = uniform_shape_tiling(tiny_dense_matrix, 2, 2)
-        assert list(tiling.occupancies()) == [1, 1, 2, 1]
+        tiling = row_block_tiling(tiny_dense_matrix, 1)
+        assert list(tiling.occupancies()) == [2, 0, 2, 1]
         assert tiling.total_occupancy == tiny_dense_matrix.nnz
         assert tiling.max_occupancy == 2
 
@@ -64,14 +56,14 @@ class TestTiling:
         tiling.validate()
 
     def test_overbooked_tiles(self, tiny_dense_matrix):
-        tiling = uniform_shape_tiling(tiny_dense_matrix, 2, 2)
-        assert len(tiling.overbooked_tiles(1)) == 1
-        assert tiling.overbooking_rate(1) == pytest.approx(0.25)
+        tiling = row_block_tiling(tiny_dense_matrix, 1)
+        assert len(tiling.overbooked_tiles(1)) == 2
+        assert tiling.overbooking_rate(1) == pytest.approx(0.5)
         assert tiling.overbooking_rate(2) == 0.0
 
     def test_bumped_elements(self, tiny_dense_matrix):
-        tiling = uniform_shape_tiling(tiny_dense_matrix, 2, 2)
-        assert tiling.bumped_elements(1) == 1
+        tiling = row_block_tiling(tiny_dense_matrix, 1)
+        assert tiling.bumped_elements(1) == 2
 
     def test_buffer_utilization_bounds(self, banded):
         tiling = row_block_tiling(banded, 16)
@@ -83,11 +75,11 @@ class TestTiling:
         assert tiling.buffer_utilization(1) == pytest.approx(1.0)
 
     def test_iteration_and_indexing(self, tiny_dense_matrix):
-        tiling = uniform_shape_tiling(tiny_dense_matrix, 2, 2)
+        tiling = row_block_tiling(tiny_dense_matrix, 1)
         assert len(list(tiling)) == len(tiling) == 4
         assert tiling[0].index == 0
 
     def test_summary(self, tiny_dense_matrix):
-        summary = uniform_shape_tiling(tiny_dense_matrix, 2, 2).summary()
+        summary = row_block_tiling(tiny_dense_matrix, 1).summary()
         assert summary["num_tiles"] == 4
         assert summary["total_occupancy"] == 5

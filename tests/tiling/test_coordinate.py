@@ -1,6 +1,5 @@
-"""Tests for coordinate-space tiling (uniform shape, dense, prescient)."""
+"""Tests for coordinate-space tiling (row blocks, dense, prescient)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,28 +8,8 @@ from repro.tensor.generators import power_law_matrix, uniform_random_matrix
 from repro.tiling.coordinate import (
     dense_row_block_rows,
     prescient_row_block_rows,
-    prescient_uniform_tile_dims,
     row_block_tiling,
-    uniform_shape_tiling,
 )
-
-
-class TestUniformShapeTiling:
-    def test_partition_covers_all_nonzeros(self, powerlaw):
-        tiling = uniform_shape_tiling(powerlaw, 64, 64)
-        tiling.validate()
-
-    def test_grid_dimensions(self, tiny_dense_matrix):
-        tiling = uniform_shape_tiling(tiny_dense_matrix, 3, 3)
-        assert tiling.num_tiles == 4  # 2x2 grid with clipped boundary tiles
-
-    def test_boundary_tiles_clipped(self, tiny_dense_matrix):
-        tiling = uniform_shape_tiling(tiny_dense_matrix, 3, 3)
-        last = tiling[-1]
-        assert last.num_rows == 1 and last.num_cols == 1
-
-    def test_zero_tax_by_default(self, tiny_dense_matrix):
-        assert uniform_shape_tiling(tiny_dense_matrix, 2, 2).tax.total_elements == 0
 
 
 class TestRowBlockTiling:
@@ -38,6 +17,9 @@ class TestRowBlockTiling:
         tiling = row_block_tiling(banded, 13)
         tiling.validate()
         assert tiling.num_tiles == -(-banded.num_rows // 13)
+
+    def test_zero_tax_by_default(self, banded):
+        assert row_block_tiling(banded, 13).tax.total_elements == 0
 
     def test_col_range_spans_matrix(self, banded):
         tiling = row_block_tiling(banded, 13)
@@ -86,22 +68,6 @@ class TestPrescientRowBlock:
         _, tax = prescient_row_block_rows(powerlaw, 500)
         assert tax.candidate_sizes >= 1
         assert tax.preprocessing_elements == tax.candidate_sizes * powerlaw.nnz
-
-
-class TestPrescient2D:
-    def test_max_occupancy_fits(self, powerlaw):
-        (rows, cols), tax = prescient_uniform_tile_dims(powerlaw, 200, max_candidates=24)
-        assert powerlaw.max_tile_occupancy(rows, cols) <= 200
-        assert 1 <= tax.candidate_sizes <= 24
-
-    def test_aspect_ratio_respected(self, powerlaw):
-        (rows, cols), _ = prescient_uniform_tile_dims(powerlaw, 200, aspect=4.0,
-                                                      max_candidates=16)
-        assert rows >= cols
-
-    def test_invalid_aspect_raises(self, powerlaw):
-        with pytest.raises(ValueError):
-            prescient_uniform_tile_dims(powerlaw, 100, aspect=0.0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -17,7 +17,7 @@ from repro.tensor.generators import (
     power_law_matrix,
     road_network_matrix,
 )
-from repro.tiling.coordinate import row_block_tiling, uniform_shape_tiling
+from repro.tiling.coordinate import row_block_tiling
 from repro.tiling.position import position_space_tiling
 
 CAPACITIES = (1, 37, 256, 4096)
@@ -37,7 +37,7 @@ def _structure_matrices():
 def _tilings(matrix):
     return [
         row_block_tiling(matrix, 17),
-        uniform_shape_tiling(matrix, 32, 48),
+        row_block_tiling(matrix, 48),
         position_space_tiling(matrix, 97, other_operand_nnz=matrix.nnz),
     ]
 

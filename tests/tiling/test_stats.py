@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tiling.stats import OccupancyStats, utilization_timeline
+from repro.tiling.stats import OccupancyStats
 
 
 class TestOccupancyStats:
@@ -80,16 +80,6 @@ class TestOccupancyStats:
     def test_summary_keys(self):
         summary = self.make().summary()
         assert set(summary) == {"count", "max", "mean", "p90", "p99"}
-
-
-class TestUtilizationTimeline:
-    def test_values(self):
-        timeline = utilization_timeline([10, 50, 200], 100)
-        assert list(timeline) == [0.1, 0.5, 1.0]
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            utilization_timeline([1], 0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import resolve_rng, spawn
+from repro.utils.rng import resolve_rng
 
 
 class TestResolveRng:
@@ -35,26 +35,3 @@ class TestResolveRng:
     def test_invalid_type_raises(self):
         with pytest.raises(TypeError):
             resolve_rng("seed")
-
-
-class TestSpawn:
-    def test_spawn_count(self):
-        children = spawn(0, 5)
-        assert len(children) == 5
-        assert all(isinstance(c, np.random.Generator) for c in children)
-
-    def test_spawn_deterministic(self):
-        a = [g.integers(0, 10**9) for g in spawn(7, 3)]
-        b = [g.integers(0, 10**9) for g in spawn(7, 3)]
-        assert a == b
-
-    def test_spawn_children_independent(self):
-        a, b = spawn(7, 2)
-        assert a.integers(0, 10**9) != b.integers(0, 10**9)
-
-    def test_spawn_zero(self):
-        assert spawn(1, 0) == []
-
-    def test_spawn_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn(1, -1)
