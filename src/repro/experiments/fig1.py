@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from repro.experiments.registry import register
 from repro.experiments.runner import ExperimentContext
 from repro.tiling.stats import OccupancyStats

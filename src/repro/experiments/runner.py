@@ -37,6 +37,10 @@ class EvaluationCache:
     ``(token, architecture, overbooking target, kernel, workload)``.
     Reports are deterministic in their key and immutable, so every context,
     scheduler pass, shard worker and service request shares one entry.
+    Every report enters through :meth:`put`, which keeps one ExTensor-N and
+    one ExTensor-P report per ``(token, architecture, kernel, workload)`` in
+    ``y_independent``: neither reads ``y``, so the cells of every ``y``
+    share those objects.
 
     There is no lock: every entry is a pure function of its key, so two
     threads missing at once only duplicate work, and pool workers fork
@@ -48,6 +52,7 @@ class EvaluationCache:
         self.suites: Dict[object, WorkloadSuite] = {}
         self.evaluators: Dict[tuple, BatchWorkloadEvaluator] = {}
         self.reports: Dict[tuple, Dict[str, PerformanceReport]] = {}
+        self.y_independent: Dict[tuple, PerformanceReport] = {}
 
     def evaluator(self, token, kernel: str, workload: str,
                   suite: Optional[WorkloadSuite] = None
@@ -73,15 +78,38 @@ class EvaluationCache:
         reports = self.reports.get(memo_key)
         if reports is None:
             token, architecture, overbooking_target, kernel, workload = memo_key
-            reports = self.reports[memo_key] = self.evaluator(
+            reports = self.put(memo_key, self.evaluator(
                 token, kernel, workload, suite).reports(architecture,
-                                                        overbooking_target)
+                                                        overbooking_target))
         return reports
+
+    def put(self, memo_key: tuple, reports: Dict[str, PerformanceReport]
+            ) -> Dict[str, PerformanceReport]:
+        """Keep ``reports`` under ``memo_key`` and return what is kept.
+
+        An N or P report equal to the one already held for its
+        ``(token, architecture, kernel, workload)`` is replaced by that
+        object; any other report is kept as given.  OB reports are never
+        shared: their names round ``y`` to a whole percent, so a name is
+        not a key.
+        """
+        token, architecture, _, kernel, workload = memo_key
+        kept = {}
+        for name, report in reports.items():
+            if name in (VARIANT_NAIVE, VARIANT_PRESCIENT):
+                held = self.y_independent.setdefault(
+                    (token, architecture, kernel, workload, name), report)
+                if held == report:
+                    report = held
+            kept[name] = report
+        self.reports[memo_key] = kept
+        return kept
 
     def clear(self) -> None:
         self.suites.clear()
         self.evaluators.clear()
         self.reports.clear()
+        self.y_independent.clear()
 
 
 #: The process's evaluation cache: contexts, the scheduler (and its pool

@@ -309,7 +309,7 @@ class EvaluationScheduler:
             for key, request in candidates:
                 reports = loaded.get(key)
                 if reports is not None:
-                    CACHE.reports[key] = reports
+                    reports = CACHE.put(key, reports)
                     store_hits += 1
                     notify(request, reports, "store")
                 else:
@@ -324,7 +324,7 @@ class EvaluationScheduler:
 
         def merge(request: EvaluationRequest,
                   reports: Dict[str, PerformanceReport]) -> None:
-            CACHE.reports[request.memo_key] = reports
+            reports = CACHE.put(request.memo_key, reports)
             merged_keys.add(request.memo_key)
             if self.store is not None:
                 # Persist immediately (one atomic file per request), so an

@@ -13,11 +13,14 @@ millions-of-users north star).
 * Clients :meth:`~EvaluationService.submit` lists of
   :class:`~repro.experiments.scheduler.EvaluationRequest`\\ s and get back a
   :class:`Ticket` — a private event stream for *their* cells.
-* A single **service loop thread** takes the first queued ticket, waits
-  ``batch_window`` seconds collecting whatever else arrives (the coalescing
-  window), unions all tickets' requests, and runs one
-  ``scheduler.prefetch`` over the union.  Requests two tickets share are
-  evaluated once and both tickets hear about it.
+* A ticket whose every cell is already warm in the process memo is
+  answered inside ``submit``, in the caller's thread, as a one-ticket pass:
+  the same events, ``done`` schedule and counters, with no wait.
+* Any other ticket is queued.  A single **service loop thread** takes the
+  first queued ticket, waits ``batch_window`` seconds collecting whatever
+  else arrives (the coalescing window), unions all tickets' requests, and
+  runs one ``scheduler.prefetch`` over the union.  Requests two tickets
+  share are evaluated once and both tickets hear about it.
 * Per-cell completion events stream to subscribed tickets *as cells finish*
   (via the scheduler's ``on_result`` hook), tagged with where the cell came
   from: ``"memo"`` (already warm in-process), ``"store"`` (on-disk report
@@ -27,11 +30,12 @@ millions-of-users north star).
   (the scheduler persists per-request), so the fleet-wide hit rate only
   climbs.
 
-Serializing passes through one loop thread is a feature, not a limitation:
-a resident service gets its concurrency from coalescing — many clients, one
-pass — not from racing passes against each other.  The scheduler's worker
-pool lives as long as the service, so its workers keep their evaluators
-warm from pass to pass.
+Serializing cold passes through one loop thread is a feature, not a
+limitation: a resident service gets its concurrency from coalescing — many
+clients, one pass — not from racing evaluations against each other.  Warm
+passes evaluate nothing, so they run beside the loop.  The scheduler's
+worker pool lives as long as the service, so its workers keep their
+evaluators warm from pass to pass.
 
 :meth:`EvaluationService.close` with ``drain=True`` (the default) finishes
 every queued ticket before returning, which is what makes the HTTP layer's
@@ -54,7 +58,8 @@ from repro.experiments.scheduler import EvaluationRequest, EvaluationScheduler
 
 #: Default coalescing window in seconds: long enough that a burst of
 #: concurrent clients lands in one scheduler pass, short enough to be
-#: invisible next to any cold evaluation.
+#: invisible next to any cold evaluation.  Only tickets with a cold cell
+#: wait it; fully warm tickets are answered at submit.
 DEFAULT_BATCH_WINDOW = 0.05
 
 
@@ -72,6 +77,9 @@ _SHUTDOWN = object()
 
 class Ticket:
     """One client's view of a submitted batch: a private event stream.
+
+    A fully warm batch's ticket is already finished when ``submit``
+    returns; its events wait in the stream.
 
     Events are plain JSON-ready dicts:
 
@@ -177,9 +185,10 @@ class EvaluationService:
         Forwarded to the underlying scheduler.
     batch_window:
         Seconds the loop waits after the first ticket of a pass for more
-        tickets to coalesce with it.  ``0`` disables waiting (each pass
-        takes whatever is queued at that instant); a negative or non-finite
-        window raises :class:`ValueError`.
+        tickets to coalesce with it (fully warm tickets never queue).
+        ``0`` disables waiting (each pass takes whatever is queued at that
+        instant); a negative or non-finite window raises
+        :class:`ValueError`.
     auto_start:
         ``False`` leaves the loop unstarted; tests then drive passes
         deterministically with :meth:`step`.
@@ -209,12 +218,19 @@ class EvaluationService:
     # Client side
     # ------------------------------------------------------------------ #
     def submit(self, requests: Sequence[EvaluationRequest]) -> Ticket:
-        """Queue a batch for the next coalesced pass; returns its ticket."""
+        """Answer a fully warm batch now, as a one-ticket pass in the
+        caller's thread; queue any other batch for the next coalesced
+        pass.  Returns its ticket."""
+        ticket = Ticket(requests)
         with self._lock:
             if self._closed:
                 raise ServiceClosed("evaluation service is shut down")
-            ticket = Ticket(requests)
-            self._queue.put(ticket)
+            warm = all(request.memo_key in CACHE.reports
+                       for request in ticket.requests)
+            if not warm:
+                self._queue.put(ticket)
+        if warm:
+            self._run_pass([ticket])
         return ticket
 
     def stats(self) -> dict:

@@ -3,7 +3,7 @@
 This subpackage provides everything the rest of the library needs to talk
 about sparse tensors:
 
-* :mod:`repro.tensor.coords` — shapes and coordinate ranges.
+* :mod:`repro.tensor.coords` — coordinate ranges.
 * :mod:`repro.tensor.sparse` — the :class:`SparseMatrix` workhorse (COO/CSR
   backed, with fast per-tile occupancy counting) and :class:`DenseOperand`,
   a fully-dense operand described by its shape alone.
@@ -24,7 +24,7 @@ about sparse tensors:
 * :mod:`repro.tensor.io` — MatrixMarket-style persistence.
 """
 
-from repro.tensor.coords import Shape, Range
+from repro.tensor.coords import Range
 from repro.tensor.sparse import DenseOperand, SparseMatrix
 from repro.tensor.einsum import EinsumSpec, MatmulWorkload, count_spmspm_operations
 from repro.tensor.kernels import (
@@ -63,7 +63,6 @@ from repro.tensor.corpus import (
 )
 
 __all__ = [
-    "Shape",
     "Range",
     "SparseMatrix",
     "DenseOperand",

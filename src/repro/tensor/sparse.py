@@ -24,7 +24,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.tensor.coords import Shape
 from repro.utils.validation import check_positive_int
 
 #: Monotonically increasing identity tokens for cache keys (see ``uid``).
@@ -159,11 +158,6 @@ class SparseMatrix:
     def csr(self) -> sp.csr_matrix:
         """The underlying SciPy CSR matrix (do not mutate)."""
         return self._csr
-
-    @property
-    def shape(self) -> Shape:
-        """The coordinate-space shape of the tensor."""
-        return Shape(self._csr.shape)
 
     @property
     def num_rows(self) -> int:
@@ -367,10 +361,6 @@ class DenseOperand:
     def memo(self) -> Dict:
         """Instance-scoped cache for derived results (see :attr:`SparseMatrix.memo`)."""
         return self._memo
-
-    @property
-    def shape(self) -> Shape:
-        return Shape((self._num_rows, self._num_cols))
 
     @property
     def num_rows(self) -> int:

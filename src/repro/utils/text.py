@@ -8,7 +8,7 @@ output used by ``repro.experiments.report`` and the benchmark harness.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],

@@ -4,8 +4,6 @@ import pytest
 
 from repro.accelerator.config import ArchitectureConfig, paper_extensor_config, scaled_default_config
 from repro.accelerator.pe import PEArray, ProcessingElement
-from repro.tensor.einsum import MatmulWorkload
-from repro.tensor.generators import uniform_random_matrix
 
 
 class TestArchitectureConfig:

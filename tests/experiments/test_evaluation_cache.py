@@ -6,10 +6,12 @@ context miss after a prefetch goes through the prefetch's evaluator: no new
 evaluator, no repeated operation count, no repeated tiling.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
+from repro.accelerator.extensor import VARIANT_NAIVE, VARIANT_PRESCIENT
 from repro.core import overbooking
 from repro.experiments.runner import (
     CACHE,
@@ -17,6 +19,7 @@ from repro.experiments.runner import (
     clear_process_caches,
 )
 from repro.experiments.scheduler import EvaluationScheduler, requests_for_context
+from repro.experiments.store import ReportStore
 from repro.model.batch import BatchWorkloadEvaluator
 from repro.model.workload import WorkloadDescriptor
 from repro.tensor.suite import shared_matrix_cache_size
@@ -102,10 +105,12 @@ def test_clear_process_caches_empties_every_tier(work):
     assert CACHE.suites and CACHE.evaluators and CACHE.reports
     assert shared_matrix_cache_size() > 0
 
+    assert CACHE.y_independent
     clear_process_caches()
     assert CACHE.suites == {}
     assert CACHE.evaluators == {}
     assert CACHE.reports == {}
+    assert CACHE.y_independent == {}
     assert shared_matrix_cache_size() == 0
 
 
@@ -127,3 +132,68 @@ def test_warm_full_context_adds_nothing(work):
     assert all(reports[name] is first[name] for name in first)
     assert [len(tier) for tier in tiers] == sizes
     assert dict(work) == built
+
+
+Y_PAIR = (0.05, 0.07)
+
+
+def _prefetch_at(y_values, store=None):
+    """Prefetch the quick context at each ``y`` in turn (one pass each);
+    returns each y's context."""
+    contexts = [ExperimentContext.quick(overbooking_target=y)
+                for y in y_values]
+    with EvaluationScheduler(max_workers=1, store=store) as scheduler:
+        for context in contexts:
+            scheduler.prefetch(requests_for_context(context))
+    return contexts
+
+
+def _assert_y_independent_reports_are_shared(contexts):
+    first, second = contexts
+    for name in first.workload_names:
+        one, other = first.reports(name), second.reports(name)
+        for variant in (VARIANT_NAIVE, VARIANT_PRESCIENT):
+            assert one[variant] is other[variant]
+        assert (one[first.overbooking_name]
+                is not other[second.overbooking_name])
+
+
+def test_y_independent_reports_are_kept_once(work):
+    """N and P do not read y: the cells of two y values, each from its own
+    pass, hold one N and one P object, equal to a fresh evaluation."""
+    contexts = _prefetch_at(Y_PAIR)
+    _assert_y_independent_reports_are_shared(contexts)
+    for context in contexts:
+        for name in context.workload_names:
+            fresh = BatchWorkloadEvaluator(WorkloadDescriptor.from_suite(
+                context.suite, name)).reports(context.architecture,
+                                              context.overbooking_target)
+            assert context.reports(name) == fresh
+
+
+def test_store_hits_share_y_independent_reports(work, tmp_path):
+    store = ReportStore(tmp_path / "store")
+    _prefetch_at(Y_PAIR, store=store)
+    clear_process_caches()
+    contexts = _prefetch_at(Y_PAIR, store=store)
+    assert store.session.hits == len(Y_PAIR) * len(
+        contexts[0].workload_names)
+    _assert_y_independent_reports_are_shared(contexts)
+
+
+def test_unequal_report_is_never_replaced(work):
+    context = ExperimentContext.quick()
+    name = context.workload_names[0]
+    held = context.reports(name)
+    key = context.memo_key(name)
+    other = {**held, VARIANT_NAIVE: dataclasses.replace(
+        held[VARIANT_NAIVE], cycles=held[VARIANT_NAIVE].cycles + 1)}
+
+    kept = CACHE.put(key[:2] + (0.5,) + key[3:], other)
+    assert kept[VARIANT_NAIVE] is other[VARIANT_NAIVE]
+    assert kept[VARIANT_PRESCIENT] is held[VARIANT_PRESCIENT]
+    # The held report stays the one later equal reports resolve to.
+    again = CACHE.put(key[:2] + (0.6,) + key[3:], {
+        variant: dataclasses.replace(report)
+        for variant, report in held.items()})
+    assert again[VARIANT_NAIVE] is held[VARIANT_NAIVE]

@@ -12,7 +12,6 @@ from repro.experiments.search import (
     DesignConfig,
     dominates,
     format_frontier,
-    pareto_frontier,
     search_frontier,
 )
 from repro.experiments.store import ReportStore

@@ -10,7 +10,6 @@ the saving is pinned too: at least 3x fewer exact evaluations (2052 -> 547
 when this was recorded).
 """
 
-import itertools
 import json
 import tempfile
 from pathlib import Path

@@ -6,8 +6,6 @@ clocks where expiry is involved, so the whole protocol is exercised without
 a single real sleep.
 """
 
-import json
-
 import pytest
 
 from repro.experiments.runner import clear_process_caches
@@ -22,7 +20,6 @@ from repro.experiments.shard import (
 )
 from repro.experiments.store import ReportStore
 from repro.experiments.sweep import plan_grid, sweep_grid
-from repro.tensor.suite import small_suite
 from repro.utils import faults
 from repro.utils.faults import FaultInjector
 

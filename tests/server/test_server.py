@@ -8,10 +8,12 @@ shared-memory segment (the autouse ``no_leaked_shared_memory`` check
 covers the last).
 """
 
+import dataclasses
 import http.client
 import json
 import socket
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -110,6 +112,60 @@ class TestService:
         assert service.counters.store_hits == len(_requests())
         assert service.counters.memo_hits == len(_requests())
         service.close()
+
+    @staticmethod
+    def _queued_events(ticket):
+        """The events already in ``ticket``'s stream, without waiting."""
+        events = []
+        while not ticket._events.empty():
+            events.append(ticket._events.get_nowait())
+        return events
+
+    def test_warm_ticket_is_answered_at_submit(self):
+        """A fully warm ticket is a one-ticket pass run inside submit():
+        finished on return, nothing left for the loop, the schedule of an
+        all-warm prefetch and the counters of one pass."""
+        clear_process_caches()
+        service = EvaluationService(auto_start=False)
+        service.submit(_requests())
+        assert service.step() == 1
+        before = dataclasses.replace(service.counters)
+
+        ticket = service.submit(_requests())
+        events = self._queued_events(ticket)
+        assert service.step() == 0
+        assert [event["source"] for event in events[:-1]] == (
+            ["memo"] * len(_requests()))
+        assert events[-1] == {
+            "event": "done",
+            "schedule": dataclasses.asdict(
+                service.scheduler.prefetch(_requests()))}
+        cells = len(_requests())
+        assert service.counters == dataclasses.replace(
+            before, passes=before.passes + 1, tickets=before.tickets + 1,
+            requests=before.requests + cells,
+            memo_hits=before.memo_hits + cells)
+        service.close()
+
+    def test_ticket_with_a_cold_cell_is_queued(self):
+        clear_process_caches()
+        service = EvaluationService(auto_start=False)
+        service.submit(_requests())
+        service.step()
+        ticket = service.submit(_requests() + _requests((0.33,))[:1])
+        assert self._queued_events(ticket) == []
+        assert service.step() == 1
+        assert ticket.wait()["schedule"]["computed"] == 1
+        service.close()
+
+    def test_warm_submit_after_close_is_refused(self):
+        clear_process_caches()
+        service = EvaluationService(auto_start=False)
+        service.submit(_requests())
+        service.step()
+        service.close()
+        with pytest.raises(ServiceClosed):
+            service.submit(_requests())
 
     def test_close_drains_queued_tickets(self, tmp_path):
         """Graceful shutdown: a ticket queued (in flight) at close() time is
@@ -414,6 +470,29 @@ class TestHotPath:
         hot = self._concurrently(client, rounds=self.HOT_ROUNDS)
         assert hot == {"memo": self.CLIENTS * self.HOT_ROUNDS * cells}
         client.shutdown()
+
+
+    def test_hot_repeat_skips_the_coalescing_window(self, tmp_path):
+        """Only a ticket with a cold cell waits the window: at a 1 s window
+        the cold first sweep takes at least 1 s, its hot repeat less."""
+        clear_process_caches()
+        server = create_server(port=0, store=ReportStore(tmp_path / "store"),
+                               batch_window=1.0)
+        thread = threading.Thread(target=serve, args=(server,))
+        thread.start()
+        client = ServerClient(*server.server_address[:2])
+        try:
+            seconds = []
+            for _ in range(2):
+                start = time.monotonic()
+                client.sweep(**self.GRID)
+                seconds.append(time.monotonic() - start)
+        finally:
+            client.shutdown()
+            thread.join(timeout=60)
+        cold, hot = seconds
+        assert cold >= 1.0
+        assert hot < 1.0
 
 
 class TestGracefulShutdown:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tensor.coords import Range, Shape
+from repro.tensor.coords import Range
 
 
 class TestRange:
@@ -28,23 +28,3 @@ class TestRange:
         with pytest.raises(ValueError):
             Range(-1, 2)
 
-
-class TestShape:
-    def test_size_is_product(self):
-        assert Shape([4, 5]).size == 20
-
-    def test_rank(self):
-        assert Shape([2, 3, 4]).rank == 3
-
-    def test_indexing_and_iteration(self):
-        shape = Shape([6, 7])
-        assert shape[0] == 6 and shape[1] == 7
-        assert list(shape) == [6, 7]
-
-    def test_rejects_zero_dimension(self):
-        with pytest.raises(ValueError):
-            Shape([4, 0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Shape([])

@@ -5,7 +5,6 @@ Everything here runs against the committed fixture corpus under
 transport — so the whole subsystem is exercised with zero network access.
 """
 
-import gzip
 import json
 import warnings
 from pathlib import Path

@@ -25,7 +25,6 @@ def _pair(rows, cols):
 
 
 def _assert_same_stats(dense, sparse):
-    assert tuple(dense.shape) == tuple(sparse.shape)
     assert (dense.num_rows, dense.num_cols) == (sparse.num_rows,
                                                 sparse.num_cols)
     assert dense.nnz == sparse.nnz

@@ -9,7 +9,6 @@ from repro.tensor.io import (
     read_matrix_market,
     write_matrix_market,
 )
-from repro.tensor.sparse import SparseMatrix
 
 
 class TestHeaderOnlyReads:

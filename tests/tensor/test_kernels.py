@@ -99,7 +99,8 @@ class TestSpMV:
 
     def test_streaming_operand_is_column_vector(self, sparse_a, rng):
         workload = SpMVWorkload(sparse_a, dense_operand(rng, sparse_a.num_cols, 1))
-        assert tuple(workload.streaming_operand.shape) == (sparse_a.num_cols, 1)
+        operand = workload.streaming_operand
+        assert (operand.num_rows, operand.num_cols) == (sparse_a.num_cols, 1)
 
     def test_einsum_is_not_a_matmul(self, sparse_a, rng):
         workload = SpMVWorkload(sparse_a, dense_operand(rng, sparse_a.num_cols, 1))
@@ -204,7 +205,8 @@ class TestKernelRegistry:
                                       rng=np.random.default_rng(13))
         np.testing.assert_array_equal(sddmm.d2, d2)
         np.testing.assert_array_equal(sddmm.d1, d1)
-        assert tuple(sddmm.streaming_operand.shape) == d2.shape
+        operand = sddmm.streaming_operand
+        assert (operand.num_rows, operand.num_cols) == d2.shape
 
     def test_factors_or_rng_but_not_both(self, sparse_a, rng):
         with pytest.raises(ValueError, match="rng"):
