@@ -70,7 +70,7 @@ ENTRY_POINTS: Tuple[Tuple[str, Tuple[str, ...], Dict[str, str], int], ...] = (
     *((f"run fig7 --kernel {kernel}",
        ("-m", "repro", "run", "fig7", "--suite", "quick", "--kernel", kernel,
         "--workers", "1", "--output-dir", f"artifacts/{kernel}", "--quiet"),
-       {}, 0) for kernel in ("spmm", "sddmm", "spmv")),
+       {}, 0) for kernel in ("spmm", "sddmm", "spmv", "spmspm")),
     ("sweep", ("-m", "repro", "sweep", "--suite", "quick",
                "--y", "0.05,0.10,0.22", "--kernel", "gram,spmv",
                "--workers", "1", "--output-dir", "artifacts"), {}, 0),

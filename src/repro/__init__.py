@@ -35,7 +35,7 @@ from repro.core.swiftiles import Swiftiles, SwiftilesConfig
 from repro.core.tailors import Tailors, TailorsConfig
 from repro.experiments import ExperimentContext
 from repro.model.workload import WorkloadDescriptor
-from repro.tensor.kernels import KERNELS, build_kernel_workload, kernel_names
+from repro.tensor.kernels import KERNELS, kernel_names
 from repro.tensor.sparse import SparseMatrix
 from repro.tensor.suite import WorkloadSuite, corpus_suite, default_suite, small_suite
 
@@ -60,7 +60,6 @@ __all__ = [
     "SparseMatrix",
     "WorkloadSuite",
     "KERNELS",
-    "build_kernel_workload",
     "kernel_names",
     "corpus_suite",
     "default_suite",

@@ -215,8 +215,7 @@ class ExperimentContext:
         the cached evaluator of ``(suite, kernel, name)`` holds.
 
         ``kernel="gram"`` (the default) builds the paper's ``A × Aᵀ``; other
-        kernels resolve their extra operands (paired sparse matrices,
-        deterministic dense factors) from the suite.
+        kernels take their streaming operand from their registry row.
         """
         return self._cache.evaluator(self.suite_token, self.kernel, name,
                                      self.suite).workload

@@ -62,12 +62,12 @@ from repro.experiments.store import (
     LEASES_DIR,
     ReportStore,
     StoreError,
-    _atomic_write_json,
     key_digest,
 )
 from repro.experiments.sweep import SweepResult, collect_result, plan_grid
 from repro.tensor.suite import WorkloadSuite
 from repro.utils import faults
+from repro.utils.atomic import atomic_write_json
 
 #: Default lease time-to-live: how long a heartbeat may stay frozen before
 #: observers may reclaim the cell.  Generous versus per-cell evaluation time
@@ -164,8 +164,8 @@ class Lease:
         if faults.active().heartbeat_stalled():
             return
         self.heartbeat += 1
-        _atomic_write_json(self.path,
-                           self.manager._payload(heartbeat=self.heartbeat))
+        atomic_write_json(self.path,
+                          self.manager._payload(heartbeat=self.heartbeat))
 
     def release(self) -> None:
         """Drop the claim (idempotent; the cell's store entry, if any, stays)."""
@@ -302,7 +302,7 @@ class LeaseManager:
             # Expired, malformed-on-disk ("free" but the file exists — a
             # torn lease write must not block the cell forever), or a stale
             # "mine" from a previous incarnation: atomic takeover.
-            _atomic_write_json(path, self._payload(heartbeat=0))
+            atomic_write_json(path, self._payload(heartbeat=0))
             confirmation = self.read(memo_key)
             if confirmation is None or confirmation.owner != self.owner:
                 return None  # another reclaimer replaced us; theirs now

@@ -49,7 +49,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +61,7 @@ from repro.energy.accelergy import EnergyReport
 from repro.model.stats import PerformanceReport, TrafficBreakdown
 from repro.model.traffic import LevelTraffic
 from repro.utils import faults
+from repro.utils.atomic import atomic_write_json
 from repro.utils.retry import retry_transient
 
 #: Bump when the entry layout (key payload or report encoding) changes in a
@@ -341,7 +341,7 @@ class ReportStore:
         else:
             (self.root / OBJECTS_DIR).mkdir(parents=True, exist_ok=True)
             (self.root / MANIFESTS_DIR).mkdir(parents=True, exist_ok=True)
-            _atomic_write_json(marker, {
+            atomic_write_json(marker, {
                 "schema_version": SCHEMA_VERSION,
                 "created_unix": time.time(),
             })
@@ -488,7 +488,7 @@ class ReportStore:
 
         def write() -> None:
             faults.active().maybe_raise("store.store")
-            _atomic_write_json(path, payload)
+            atomic_write_json(path, payload)
 
         retry_transient(write, on_retry=self._count_io_retry)
         faults.active().maybe_corrupt(path)
@@ -523,7 +523,7 @@ class ReportStore:
         """Atomically publish a run manifest under ``manifests/``."""
         path = self.manifest_path(name)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(path, dict(payload, schema_version=SCHEMA_VERSION))
+        atomic_write_json(path, dict(payload, schema_version=SCHEMA_VERSION))
         return path
 
     def read_manifest(self, name: str) -> Optional[dict]:
@@ -714,37 +714,13 @@ class ReportStore:
                     continue
         # Everything left is readable under the current schema: refresh the
         # marker so future opens (which check it) succeed.
-        _atomic_write_json(self.root / MARKER_NAME, {
+        atomic_write_json(self.root / MARKER_NAME, {
             "schema_version": SCHEMA_VERSION,
             "created_unix": time.time(),
         })
         return GcStats(scanned=scanned, removed_entries=removed,
                        removed_temp_files=removed_tmp,
                        reclaimed_bytes=reclaimed, kept=kept, skipped=skipped)
-
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Write JSON via a same-directory temp file + ``os.replace``.
-
-    ``os.replace`` is atomic on POSIX and Windows for same-filesystem moves,
-    so readers either see the old entry or the complete new one, never a
-    prefix; racing writers simply replace each other with identical content.
-    """
-    handle = tempfile.NamedTemporaryFile(
-        mode="w", dir=path.parent, prefix=path.name + ".tmp", delete=False)
-    try:
-        with handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
 
 
 def format_stats(stats: StoreStats, session: Optional[SessionStats] = None,

@@ -2,7 +2,9 @@
 
 The accelerator model is analytical — it never multiplies numbers — so the
 library needs an independent functional reference to check that (a) the
-operation counting in :mod:`repro.tensor.einsum` is exact and (b) the SciPy
+SpMSpM operation counting of the kernel registry
+(:func:`repro.tensor.kernels.count_spmspm_operations`, behind the ``gram``
+and ``spmspm`` rows) is exact and (b) the SciPy
 product used elsewhere agrees with a from-scratch implementation.  This module
 is that reference: simple, slow, and obviously correct.
 """
@@ -53,7 +55,7 @@ def multiply_count(a: SparseMatrix, b: SparseMatrix) -> int:
 
     This equals the number of *effectual* multiplications an ideal sparse
     accelerator performs and is used to validate
-    :func:`repro.tensor.einsum.count_spmspm_operations`.
+    :func:`repro.tensor.kernels.count_spmspm_operations`.
     """
     if a.num_cols != b.num_rows:
         raise ValueError(

@@ -7,10 +7,9 @@ about sparse tensors:
 * :mod:`repro.tensor.sparse` — the :class:`SparseMatrix` workhorse (COO/CSR
   backed, with fast per-tile occupancy counting) and :class:`DenseOperand`,
   a fully-dense operand described by its shape alone.
-* :mod:`repro.tensor.einsum` — Einsum workload descriptions and operation
-  counting for SpMSpM.
-* :mod:`repro.tensor.kernels` — the pluggable kernel family (general SpMSpM,
-  SpMM, SpMV, SDDMM) behind the workload layer.
+* :mod:`repro.tensor.kernels` — the kernel registry: one row per kernel
+  (Gram and general SpMSpM, SpMM, SpMV, SDDMM) naming its streaming operand
+  and its exact operation counts.
 * :mod:`repro.tensor.generators` — synthetic sparse matrix generators that
   mimic the SuiteSparse matrix classes used in the paper's evaluation.
 * :mod:`repro.tensor.synth` — the seeded sparsity-model registry
@@ -26,15 +25,7 @@ about sparse tensors:
 
 from repro.tensor.coords import Range
 from repro.tensor.sparse import DenseOperand, SparseMatrix
-from repro.tensor.einsum import EinsumSpec, MatmulWorkload, count_spmspm_operations
-from repro.tensor.kernels import (
-    KERNELS,
-    SDDMMWorkload,
-    SpMMWorkload,
-    SpMVWorkload,
-    build_kernel_workload,
-    kernel_names,
-)
+from repro.tensor.kernels import KERNELS, count_spmspm_operations, kernel_names
 from repro.tensor.generators import (
     banded_matrix,
     block_diagonal_matrix,
@@ -66,14 +57,8 @@ __all__ = [
     "Range",
     "SparseMatrix",
     "DenseOperand",
-    "EinsumSpec",
-    "MatmulWorkload",
     "count_spmspm_operations",
     "KERNELS",
-    "SDDMMWorkload",
-    "SpMMWorkload",
-    "SpMVWorkload",
-    "build_kernel_workload",
     "kernel_names",
     "banded_matrix",
     "block_diagonal_matrix",

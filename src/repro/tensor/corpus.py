@@ -86,6 +86,7 @@ import numpy as np
 from repro.tensor.io import matrix_market_header, read_matrix_market
 from repro.tensor.sparse import SparseMatrix
 from repro.utils import faults
+from repro.utils.atomic import atomic_write_json
 
 #: Environment variable overriding the default cache root.
 ENV_CACHE = "REPRO_CORPUS_CACHE"
@@ -746,11 +747,7 @@ class CorpusCache:
             "sha256": _sha256_file(path),
             "size": path.stat().st_size,
         }
-        handle, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-        with os.fdopen(handle, "w") as sink:
-            json.dump(receipt, sink, indent=1)
-        os.replace(tmp_name, self.receipt_path(descriptor))
+        atomic_write_json(self.receipt_path(descriptor), receipt)
 
     def _quarantine(self, path: Path, *, reason: str) -> Path:
         self.quarantine_root.mkdir(parents=True, exist_ok=True)

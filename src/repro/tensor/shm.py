@@ -33,8 +33,7 @@ Everything degrades gracefully: if shared memory is unavailable (no
 scheduler falls back to token-rebuilding workers — slower, never wrong.
 
 Dense kernel operands (SpMM/SpMV/SDDMM factors) are *not* exported: they are
-cheap deterministic functions of ``(suite seed, workload, kernel salt)`` and
-every worker rebuilds them bit-identically from the token.
+described by their shape alone, which every worker derives from the matrix.
 """
 
 from __future__ import annotations

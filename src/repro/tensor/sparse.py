@@ -337,25 +337,14 @@ class DenseOperand:
     It stores no coordinates and no CSR.
     """
 
-    def __init__(self, num_rows: int, num_cols: int, name: str = "dense"):
+    def __init__(self, num_rows: int, num_cols: int):
         check_positive_int(num_rows, "num_rows")
         check_positive_int(num_cols, "num_cols")
         self._num_rows = int(num_rows)
         self._num_cols = int(num_cols)
-        self._name = str(name)
-        self._uid = next(_UID_COUNTER)
         self._memo: Dict = {}
         self._transpose_cache: Optional["DenseOperand"] = None
         self._row_block_occ_cache: Dict[int, np.ndarray] = {}
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def uid(self) -> int:
-        """Process-unique identity token (see :attr:`SparseMatrix.uid`)."""
-        return self._uid
 
     @property
     def memo(self) -> Dict:
@@ -405,8 +394,7 @@ class DenseOperand:
     def transpose(self) -> "DenseOperand":
         """The ``num_cols × num_rows`` operand, cached both ways."""
         if self._transpose_cache is None:
-            transposed = DenseOperand(self._num_cols, self._num_rows,
-                                      name=f"{self._name}.T")
+            transposed = DenseOperand(self._num_cols, self._num_rows)
             transposed._transpose_cache = self
             self._transpose_cache = transposed
         return self._transpose_cache

@@ -237,17 +237,6 @@ class WorkloadSuite:
             raise KeyError(f"unknown workload {name!r}; known: {self._order}")
         return self._stream_indices[name]
 
-    def kernel_rng(self, name: str, salt: int) -> np.random.Generator:
-        """A deterministic generator for kernel operands of workload ``name``.
-
-        The stream is a pure function of ``(suite seed, workload stream
-        index, salt)``, so dense kernel factors (SpMM features, SpMV vectors,
-        SDDMM factors) are bit-identical whether built in this process or
-        rebuilt by a scheduler worker from the suite token.
-        """
-        return np.random.default_rng(
-            (self._seed, self.stream_index(name), int(salt)))
-
     @property
     def cache_token(self):
         """Hashable identity of a canonical suite, or ``None`` for custom ones.

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -14,6 +13,7 @@ from repro.experiments.scheduler import (
     requests_for_context,
 )
 from repro.experiments.sweep import sweep_grid
+from repro.model.workload import WorkloadDescriptor
 from repro.tensor.io import write_matrix_market
 from repro.tensor.kernels import kernel_names
 from repro.tensor.suite import corpus_suite, small_suite, suite_from_token
@@ -105,13 +105,17 @@ class TestSchedulerKernelAxis:
         assert [r.kernel for r in requests] == ["spmv", "gram"]
 
     def test_dense_factors_identical_across_rebuilt_suites(self):
-        # What makes worker-side rebuilds bit-identical: the kernel rng is a
-        # pure function of the suite token.
+        # What makes worker-side rebuilds bit-identical: a dense factor is
+        # its shape, and the paired matrix a pure function of the suite token.
         suite = small_suite()
         rebuilt = suite_from_token(suite.cache_token)
-        a = suite.kernel_rng("tiny-fem", 101).uniform(size=8)
-        b = rebuilt.kernel_rng("tiny-fem", 101).uniform(size=8)
-        np.testing.assert_array_equal(a, b)
+        for kernel in ("spmm", "spmv", "sddmm"):
+            one = WorkloadDescriptor.from_suite(suite, "tiny-fem", kernel=kernel)
+            two = WorkloadDescriptor.from_suite(rebuilt, "tiny-fem",
+                                                kernel=kernel)
+            assert (one.b.num_rows, one.b.num_cols) == \
+                (two.b.num_rows, two.b.num_cols)
+            assert one.operation_counts == two.operation_counts
         pair_a = suite.paired_matrix("tiny-social")
         pair_b = rebuilt.paired_matrix("tiny-social")
         assert (pair_a.csr != pair_b.csr).nnz == 0

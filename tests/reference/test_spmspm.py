@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.reference.spmspm import gustavson_spmspm, multiply_count
-from repro.tensor.einsum import count_spmspm_operations
+from repro.tensor.kernels import count_spmspm_operations
 from repro.tensor.generators import uniform_random_matrix
 from repro.tensor.sparse import SparseMatrix
 

@@ -276,6 +276,20 @@ class TestTornCache:
         cache.receipt_path(descriptor).unlink()
         assert cache.installed_path(descriptor) is None
 
+    def test_failed_receipt_write_leaves_no_temp_file(self, cache, catalog,
+                                                      monkeypatch):
+        # A full disk while the receipt is dumped: the install fails, and no
+        # ``*.tmp`` stays under matrices/, where installed() would hide it and
+        # gc would never reach it.
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        descriptor = catalog.get("suitesparse:fixture/fem-band")
+        monkeypatch.setattr(json, "dump", disk_full)
+        with pytest.raises(CorpusError, match="No space left"):
+            cache.ensure_local(descriptor, transport=fake_transport())
+        assert not list(cache.matrices_root.rglob("*.tmp"))
+
 
 class TestChecksums:
     def test_mismatch_quarantines_warns_and_refetches(self, cache, catalog):

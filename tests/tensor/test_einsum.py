@@ -1,55 +1,13 @@
-"""Tests for einsum parsing and SpMSpM operation counting."""
+"""The matmul einsum of Eq. 1, ``Z[m,n] = A[m,k] * B[k,n]``: exact SpMSpM
+operation counting and the Gram ``A × Aᵀ`` workload."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.tensor.einsum import (
-    EinsumSpec,
-    MATMUL_EINSUM,
-    MatmulWorkload,
-    count_spmspm_operations,
-)
+from repro.model.workload import WorkloadDescriptor
+from repro.tensor.kernels import count_spmspm_operations
 from repro.tensor.sparse import SparseMatrix
-
-
-class TestEinsumSpec:
-    def test_parse_matmul(self):
-        spec = EinsumSpec.parse("Z[m,n] = A[m,k] * B[k,n]")
-        assert spec.output == "Z"
-        assert spec.a_indices == ("m", "k")
-        assert spec.b_indices == ("k", "n")
-
-    def test_parse_whitespace_tolerant(self):
-        spec = EinsumSpec.parse("  Z[ m , n ]  =  A[ m , k ] * B[ k , n ] ")
-        assert spec.output_indices == ("m", "n")
-
-    def test_parse_malformed_raises(self):
-        with pytest.raises(ValueError):
-            EinsumSpec.parse("Z = A * B")
-
-
-class TestEinsumSpecErrorPaths:
-    """Error paths of the parser."""
-
-    @pytest.mark.parametrize("expression", [
-        "Z[m,] = A[m,k] * B[k,n]",      # trailing comma: empty index
-        "Z[m,n] = A[,k] * B[k,n]",      # leading comma: empty index
-        "Z[m,n] = A[m, ,k] * B[k,n]",   # blank middle index
-    ])
-    def test_malformed_index_lists_raise(self, expression):
-        with pytest.raises(ValueError, match="malformed index list"):
-            EinsumSpec.parse(expression)
-
-    @pytest.mark.parametrize("expression", [
-        "Z[m,n] = A[m,k]",              # single operand
-        "Z[m,n] = A[m,k] + B[k,n]",     # wrong operator
-        "Z[m,n] = A[m,k] * B[k,n] * C[n,p]",  # three operands
-        "",
-    ])
-    def test_unparseable_expressions_raise(self, expression):
-        with pytest.raises(ValueError, match="expected an expression"):
-            EinsumSpec.parse(expression)
 
 
 class TestOperationCounts:
@@ -58,7 +16,6 @@ class TestOperationCounts:
         counts = count_spmspm_operations(eye, eye)
         assert counts.effectual_multiplies == 5
         assert counts.output_nonzeros == 5
-        assert counts.dense_multiplies == 125
 
     def test_tiny_matrix_gram(self, tiny_dense_matrix):
         counts = count_spmspm_operations(tiny_dense_matrix, tiny_dense_matrix.transpose())
@@ -75,26 +32,26 @@ class TestOperationCounts:
 
 class TestMatmulWorkload:
     def test_gram_shapes(self, tiny_dense_matrix):
-        workload = MatmulWorkload.gram(tiny_dense_matrix)
-        assert workload.m == 4 and workload.k == 4 and workload.n == 4
+        workload = WorkloadDescriptor.gram(tiny_dense_matrix)
+        assert workload.a.csr.shape == (4, 4)
+        assert workload.b.csr.shape == (4, 4)
 
     def test_gram_b_is_transpose(self, tiny_dense_matrix):
-        workload = MatmulWorkload.gram(tiny_dense_matrix)
-        assert workload.b == tiny_dense_matrix.transpose()
+        workload = WorkloadDescriptor.gram(tiny_dense_matrix)
+        assert workload.b is tiny_dense_matrix.transpose()
 
     def test_reference_result_matches_scipy(self, tiny_dense_matrix):
-        workload = MatmulWorkload.gram(tiny_dense_matrix)
+        workload = WorkloadDescriptor.gram(tiny_dense_matrix)
         dense = tiny_dense_matrix.to_dense()
-        assert np.allclose(workload.reference_result().to_dense(), dense @ dense.T)
+        assert np.allclose(workload.a.matmul(workload.b).to_dense(), dense @ dense.T)
 
     def test_incompatible_operands_raise(self, tiny_dense_matrix):
-        with pytest.raises(ValueError):
-            MatmulWorkload(a=tiny_dense_matrix, b=SparseMatrix(sp.identity(3)))
-
-    def test_einsum_property(self, tiny_dense_matrix):
-        assert MatmulWorkload.gram(tiny_dense_matrix).einsum is MATMUL_EINSUM
+        workload = WorkloadDescriptor(name="bad", kernel="spmspm",
+                                      a=tiny_dense_matrix,
+                                      b=SparseMatrix(sp.identity(3)))
+        with pytest.raises(ValueError, match="inner dimensions"):
+            workload.operation_counts
 
     def test_operation_counts_consistent(self, banded):
-        workload = MatmulWorkload.gram(banded)
-        counts = workload.operation_counts()
-        assert counts.output_nonzeros == workload.reference_result().nnz
+        workload = WorkloadDescriptor.gram(banded)
+        assert workload.output_nonzeros == workload.a.matmul(workload.b).nnz

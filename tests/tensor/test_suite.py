@@ -123,15 +123,6 @@ class TestPairedOperands:
         suite = WorkloadSuite([spec], seed=test_suite.seed)
         assert suite.paired_matrix("tiny-fem") is other
 
-    def test_kernel_rng_is_pure_function_of_identity(self, test_suite):
-        import numpy as np
-
-        one = test_suite.kernel_rng("tiny-fem", 7).uniform(size=4)
-        two = small_suite().kernel_rng("tiny-fem", 7).uniform(size=4)
-        np.testing.assert_array_equal(one, two)
-        other_salt = small_suite().kernel_rng("tiny-fem", 8).uniform(size=4)
-        assert not np.array_equal(one, other_salt)
-
     def test_stream_index_matches_position(self, test_suite):
         assert [test_suite.stream_index(n) for n in test_suite.names] == [0, 1, 2]
         with pytest.raises(KeyError):
@@ -142,9 +133,8 @@ class TestStreamDeterminism:
     """Regression guards for the per-workload stream derivation.
 
     A workload's matrix stream is ``default_rng(seed * 1_000_003 + stream
-    index)``, its pair stream the same at ``+ _PAIR_STREAM_OFFSET``, and its
-    kernel streams ``default_rng((seed, stream index, salt))`` — all pure
-    functions of ``(suite seed, stream index)``.  Subsets and re-ordered
+    index)`` and its pair stream the same at ``+ _PAIR_STREAM_OFFSET`` — both
+    pure functions of ``(suite seed, stream index)``.  Subsets and re-ordered
     suites carry their parent's indices, so every stream must survive both.
     """
 
@@ -195,29 +185,22 @@ class TestStreamDeterminism:
             parent.stream_index("tiny-road")
         assert nested.matrix("tiny-road") == parent.matrix("tiny-road")
 
-    def test_subset_preserves_kernel_rng_streams(self):
-        import numpy as np
-
-        parent = small_suite()
-        subset = small_suite().subset(["tiny-road"])
-        for salt in (101, 211, 307):
-            np.testing.assert_array_equal(
-                subset.kernel_rng("tiny-road", salt).uniform(size=8),
-                parent.kernel_rng("tiny-road", salt).uniform(size=8))
-
     def test_subset_descriptors_match_full_suite(self):
-        # End to end: dense kernel factors (which consume kernel_rng) built
-        # from a subset are bit-identical to the full suite's.
-        import numpy as np
-
+        # End to end: every kernel's operands and counts built from a subset
+        # equal the full suite's.
         from repro.model.workload import WorkloadDescriptor
+        from repro.tensor.kernels import kernel_names
 
-        full = WorkloadDescriptor.from_suite(
-            small_suite(), "tiny-social", kernel="spmm")
-        sub = WorkloadDescriptor.from_suite(
-            small_suite().subset(["tiny-social"]), "tiny-social", kernel="spmm")
-        np.testing.assert_array_equal(full.workload.b_dense,
-                                      sub.workload.b_dense)
+        for kernel in kernel_names():
+            full = WorkloadDescriptor.from_suite(
+                small_suite(), "tiny-social", kernel=kernel)
+            sub = WorkloadDescriptor.from_suite(
+                small_suite().subset(["tiny-social"]), "tiny-social",
+                kernel=kernel)
+            assert sub.a == full.a
+            assert (sub.b.num_rows, sub.b.num_cols, sub.b.nnz) == \
+                (full.b.num_rows, full.b.num_cols, full.b.nnz)
+            assert sub.operation_counts == full.operation_counts
 
     def test_synth_subset_preserves_streams(self):
         from repro.tensor.suite import synth_suite
