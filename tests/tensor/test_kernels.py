@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.model.workload import WorkloadDescriptor
-from repro.reference.spmspm import multiply_count
+from repro.reference.spmspm import gustavson_spmspm, multiply_count
 from repro.tensor.kernels import DENSE_RANK, kernel_names, kernel_spec
 from repro.tensor.sparse import SparseMatrix
 
@@ -72,6 +72,23 @@ def test_counts_match_dense_reference(kernel, sparse_a, sparse_b, rng):
 
 
 class TestSpMSpMGeneral:
+    def test_distinct_operands_counts_match_gustavson(self, sparse_a, sparse_b):
+        workload = _descriptor("spmspm", sparse_a, sparse_b)
+        assert workload.effectual_multiplies == multiply_count(sparse_a, sparse_b)
+
+    def test_reference_dense_matches_numpy(self, sparse_a, sparse_b):
+        workload = _descriptor("spmspm", sparse_a, sparse_b)
+        expected = sparse_a.to_dense() @ sparse_b.to_dense()
+        product = gustavson_spmspm(workload.a, workload.b)
+        np.testing.assert_allclose(product.to_dense(), expected)
+
+    def test_output_nonzeros_matches_pattern(self, sparse_a, sparse_b):
+        # Positive values cannot cancel, so the symbolic pattern count equals
+        # the dense nonzero count.
+        workload = _descriptor("spmspm", sparse_a, sparse_b)
+        dense = sparse_a.to_dense() @ sparse_b.to_dense()
+        assert workload.output_nonzeros == int(np.count_nonzero(dense))
+
     def test_stationary_streaming_are_a_b(self, sparse_a, sparse_b):
         workload = _descriptor("spmspm", sparse_a, sparse_b)
         assert workload.a is sparse_a
