@@ -68,9 +68,8 @@ JSON bodies into the same dataclasses): a kernel axis (``--kernel``; see
 :mod:`repro.tensor.kernels`) over a built-in suite, MatrixMarket files
 (``--matrix``), corpus-managed datasets (``--corpus``; see
 :mod:`repro.tensor.corpus`) or sparsity models (``--synth``; see
-:mod:`repro.tensor.synth`).  A value the schema refuses, a ``--workers``
-below 1 or a negative or non-finite ``--batch-window`` prints one
-``error:`` line and exits 2.  ``--store DIR`` serves and persists
+:mod:`repro.tensor.synth`).  A value the schema refuses or a ``--workers``
+below 1 prints one ``error:`` line and exits 2.  ``--store DIR`` serves and persists
 evaluations through the on-disk report store.
 
 Examples (the full reference with sample output lives in ``docs/CLI.md``)::
@@ -141,7 +140,6 @@ from repro.experiments.store import (
     format_verify,
 )
 from repro.experiments.sweep import format_summaries, sweep_grid
-from repro.server.service import DEFAULT_BATCH_WINDOW as SERVER_DEFAULT_BATCH_WINDOW
 from repro.tensor import corpus as corpus_manager
 from repro.tensor.kernels import kernel_names
 from repro.tensor.synth import model_names
@@ -415,11 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None, metavar="N",
                        help="worker processes per evaluation pass "
                             "(default: CPU count; 1 = serial)")
-    serve.add_argument("--batch-window", type=float,
-                       default=SERVER_DEFAULT_BATCH_WINDOW, metavar="SECONDS",
-                       help="how long each pass waits for more clients to "
-                            "coalesce with it (default: "
-                            f"{SERVER_DEFAULT_BATCH_WINDOW:g}s; 0 disables)")
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request to stderr")
     _add_store_argument(serve)
@@ -508,9 +501,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
             output_dir.mkdir(parents=True, exist_ok=True)
 
         manifest = []
+
+        def write_manifest(**failure) -> None:
+            """Record the experiments that finished (and, after a failure,
+            the one that did not)."""
+            if output_dir is None:
+                return
+            (output_dir / "manifest.json").write_text(json.dumps({
+                "suite": request.label,
+                "overbooking_target": request.overbooking_target,
+                "total_seconds": round(time.perf_counter() - start, 4),
+                "experiments": manifest,
+                **failure,
+            }, indent=2) + "\n")
+
         for experiment in plan.experiments:
             run_start = time.perf_counter()
-            result = plan.run(experiment)
+            try:
+                result = plan.run(experiment)
+            except Exception:
+                write_manifest(failed=experiment.name)
+                print(f"[{experiment.name}] failed after {len(manifest)} "
+                      f"finished experiment(s)", file=sys.stderr)
+                raise
             elapsed = time.perf_counter() - run_start
             if not args.quiet:
                 print(experiment.format_result(result))
@@ -527,14 +540,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"[{experiment.name}] {experiment.artifact} regenerated "
                   f"in {elapsed:.2f}s", file=sys.stderr)
 
+    write_manifest()
     if output_dir is not None:
-        manifest_path = output_dir / "manifest.json"
-        manifest_path.write_text(json.dumps({
-            "suite": request.label,
-            "overbooking_target": request.overbooking_target,
-            "total_seconds": round(time.perf_counter() - start, 4),
-            "experiments": manifest,
-        }, indent=2) + "\n")
         print(f"wrote {len(manifest)} artifact(s) + manifest to {output_dir}/",
               file=sys.stderr)
     return 0
@@ -664,13 +671,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.http import serve as run_server
 
     store = _store_for(args)
-    try:
-        server = create_server(
-            host=args.host, port=args.port, store=store,
-            max_workers=args.workers,
-            batch_window=args.batch_window, verbose=args.verbose)
-    except ValueError as error:  # the service refuses the window
-        raise RequestError(f"--batch-window: {error}") from None
+    server = create_server(host=args.host, port=args.port, store=store,
+                           max_workers=args.workers, verbose=args.verbose)
     host, port = server.server_address[:2]
     store_note = str(store.root) if store is not None else "none (in-memory)"
     print(f"[server] serving on http://{host}:{port} "

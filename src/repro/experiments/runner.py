@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
+from weakref import WeakValueDictionary
 
 from repro.accelerator.config import ArchitectureConfig, scaled_default_config
 from repro.accelerator.extensor import (
@@ -24,6 +25,11 @@ from repro.tensor.suite import (
     small_suite,
     suite_from_token,
 )
+from repro.utils.lru import LRU
+
+#: Cells the process report memo keeps: above every benchmarked request but
+#: the 2,970-cell cold full-suite grid, whose sweep reads its own prefetch.
+REPORT_MEMO_CELLS = 2048
 
 
 class EvaluationCache:
@@ -37,10 +43,16 @@ class EvaluationCache:
     ``(token, architecture, overbooking target, kernel, workload)``.
     Reports are deterministic in their key and immutable, so every context,
     scheduler pass, shard worker and service request shares one entry.
+    ``reports`` is an :class:`~repro.utils.lru.LRU` of
+    :data:`REPORT_MEMO_CELLS` cells, so a long-lived process keeps its
+    memory bounded; an evicted cell is re-served from the report store or
+    recomputed with the same bytes.  A request therefore reads its cells
+    from what its own prefetch resolved, never back out of the memo.
     Every report enters through :meth:`put`, which keeps one ExTensor-N and
     one ExTensor-P report per ``(token, architecture, kernel, workload)`` in
     ``y_independent``: neither reads ``y``, so the cells of every ``y``
-    share those objects.
+    share those objects.  The index holds them weakly: a report no cached
+    cell holds any more leaves it.
 
     There is no lock: every entry is a pure function of its key, so two
     threads missing at once only duplicate work, and pool workers fork
@@ -51,8 +63,9 @@ class EvaluationCache:
     def __init__(self) -> None:
         self.suites: Dict[object, WorkloadSuite] = {}
         self.evaluators: Dict[tuple, BatchWorkloadEvaluator] = {}
-        self.reports: Dict[tuple, Dict[str, PerformanceReport]] = {}
-        self.y_independent: Dict[tuple, PerformanceReport] = {}
+        self.reports: LRU = LRU(REPORT_MEMO_CELLS)
+        self.y_independent: "WeakValueDictionary[tuple, PerformanceReport]" = (
+            WeakValueDictionary())
 
     def evaluator(self, token, kernel: str, workload: str,
                   suite: Optional[WorkloadSuite] = None
@@ -121,11 +134,8 @@ def clear_process_caches() -> None:
     """Evict every process-wide cache: :data:`CACHE` and the suite matrices
     (with them, each matrix's derived-result caches).
 
-    The caches are bounded for the standard pipeline, but long-running
-    parameter sweeps that vary architectures or overbooking targets
-    accumulate one report entry per configuration — call this between sweep
-    phases to release them.  Also what the benchmark harness uses to
-    measure a genuinely cold run in a warm process.
+    What the benchmark harness uses to measure a genuinely cold run in a
+    warm process.
     """
     CACHE.clear()
     clear_shared_matrix_cache()

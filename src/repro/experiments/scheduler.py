@@ -7,10 +7,10 @@ that into a batch problem:
 
 1. **Batch** — union the :class:`EvaluationRequest`s of all selected
    experiments (and sweep grid points) up front.
-2. **Deduplicate** — drop requests already present in the report tier of
-   the process cache (:data:`repro.experiments.runner.CACHE`); experiments
-   sharing evaluations (Figs. 7/8/9, every sweep point at the default ``y``)
-   cost one evaluation.
+2. **Deduplicate** — resolve requests already present in the report tier
+   of the process cache (:data:`repro.experiments.runner.CACHE`) without
+   evaluating them; experiments sharing evaluations (Figs. 7/8/9, every
+   sweep point at the default ``y``) cost one evaluation.
 3. **Fan out** — evaluate the cold requests on the scheduler's one
    :class:`~concurrent.futures.ProcessPoolExecutor`, kept until
    :meth:`EvaluationScheduler.close`.  A request carries the suite's
@@ -19,8 +19,9 @@ that into a batch problem:
    cache, which keeps them (plus their evaluators and matrix/tiling caches)
    warm for the life of the pool.
 4. **Merge** — per-variant reports come back pickled and are merged into the
-   parent's cache, so the experiments afterwards run serially against warm
-   caches.
+   parent's cache.  The memo is bounded, so a caller that reads the cells
+   back passes ``into=`` and reads them from there (see
+   :meth:`EvaluationScheduler.prefetch`).
 
 When constructed with a :class:`~repro.experiments.store.ReportStore`, the
 scheduler adds a *durable* tier between steps 2 and 3: cold requests are
@@ -48,17 +49,18 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.accelerator.config import ArchitectureConfig
 from repro.experiments.runner import CACHE, ExperimentContext
+from repro.model.stats import PerformanceReport
 
 #: Below this many cold requests the pool start-up cost outweighs the win,
 #: so they are evaluated in-process instead.
 MIN_PARALLEL_REQUESTS = 4
 
 #: Signature of the per-request completion hook: ``(request, reports,
-#: source)`` with ``source`` one of ``"store"`` (served from the on-disk
-#: store) or ``"computed"`` (freshly evaluated this pass).
+#: source)`` with ``source`` one of ``"memo"`` (already in the process
+#: memo), ``"store"`` (served from the on-disk store) or ``"computed"``
+#: (freshly evaluated this pass).
 ResultHook = Callable[
-    ["EvaluationRequest", Dict[str, "PerformanceReport"], str], None]
-from repro.model.stats import PerformanceReport
+    ["EvaluationRequest", Dict[str, PerformanceReport], str], None]
 
 
 @dataclass(frozen=True)
@@ -258,26 +260,33 @@ class EvaluationScheduler:
 
     # ------------------------------------------------------------------ #
     def prefetch(self, requests: Sequence[EvaluationRequest], *,
-                 on_result: Optional[ResultHook] = None) -> ScheduleStats:
-        """Ensure every request's reports are in the process cache.
+                 on_result: Optional[ResultHook] = None,
+                 into: Optional[Dict[tuple, Dict[str, PerformanceReport]]]
+                 = None) -> ScheduleStats:
+        """Resolve every request's reports through the process cache.
 
         Deduplicates against the cache, evaluates the cold remainder (in
         parallel when worth it), merges the results, and reports what it did.
-        Afterwards ``context.reports(...)`` for any covered configuration is
-        a memo hit.
+
+        ``into``, when given, receives every request's reports by memo key.
+        The report memo is a bounded LRU, so a caller that reads the cells
+        back reads them from ``into``: a large prefetch may already have
+        evicted its own first cells from the memo.
 
         ``on_result`` is an optional per-request completion hook, invoked in
         *this* process the moment a request's reports become available —
-        with ``source="store"`` for on-disk hits and ``source="computed"``
-        for fresh evaluations (requests already warm in the memo never fire
-        it; they were never scheduled).  The evaluation service streams
-        per-cell progress to its clients through this.  Hook exceptions are
-        swallowed (reported to stderr): a broken observer must not kill a
-        batch other clients are coalesced into.
+        with ``source="memo"`` for cells already in the process memo,
+        ``source="store"`` for on-disk hits and ``source="computed"`` for
+        fresh evaluations.  The evaluation service streams per-cell progress
+        to its clients through this.  Hook exceptions are swallowed
+        (reported to stderr): a broken observer must not kill a batch other
+        clients are coalesced into.
         """
         def notify(request: EvaluationRequest,
                    reports: Dict[str, PerformanceReport],
                    source: str) -> None:
+            if into is not None:
+                into[request.memo_key] = reports
             if on_result is None:
                 return
             try:
@@ -297,8 +306,13 @@ class EvaluationScheduler:
 
         store_hits = 0
         cold = []
-        candidates = [(key, request) for key, request in unique.items()
-                      if key not in CACHE.reports]
+        candidates = []
+        for key, request in unique.items():
+            reports = CACHE.reports.get(key)
+            if reports is None:
+                candidates.append((key, request))
+            else:
+                notify(request, reports, "memo")
         if self.store is not None and candidates:
             # One bulk lookup for every memo-cold key: the store scans each
             # needed shard directory once (see ReportStore.load_many) instead

@@ -64,7 +64,6 @@ import numpy as np
 from repro.accelerator.config import ArchitectureConfig, scaled_default_config
 from repro.experiments.registry import deterministic_payload
 from repro.accelerator.extensor import AcceleratorVariant
-from repro.experiments.runner import CACHE
 from repro.experiments.scheduler import (
     EvaluationRequest,
     EvaluationScheduler,
@@ -460,13 +459,15 @@ def search_frontier(suite: WorkloadSuite, *,
                 suite_token=token, architecture=architecture,
                 overbooking_target=config.overbooking_target, workload=name,
                 kernel=kernel)) for kernel in kernels for name in suite.names)
-        stats = scheduler.prefetch([request for _, request in cells])
+        reports: Dict[tuple, dict] = {}
+        stats = scheduler.prefetch([request for _, request in cells],
+                                   into=reports)
 
         for config in configs:
             evaluated[config] = []
         for config, request in cells:
             kernel, name = request.kernel, request.workload
-            overbooking = CACHE.evaluate(request.memo_key, suite)[
+            overbooking = reports[request.memo_key][
                 AcceleratorVariant.overbooking(
                     overbooking_target=config.overbooking_target).name]
             spec = synth_specs.get(name)

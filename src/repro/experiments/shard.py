@@ -590,7 +590,8 @@ def merge_shards(suite: WorkloadSuite, *, store: ReportStore,
             f"then merge again; 'status' shows who holds what")
 
     scheduler = EvaluationScheduler(max_workers=1, store=store)
-    stats = scheduler.prefetch(list(plan.requests))
+    reports: Dict[tuple, dict] = {}
+    stats = scheduler.prefetch(list(plan.requests), into=reports)
     store.write_manifest(plan.signature, plan.manifest_payload(
         "complete", computed=stats.computed, store_hits=stats.store_hits))
-    return collect_result(plan, stats)
+    return collect_result(plan, stats, reports)

@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.accelerator.config import ArchitectureConfig, scaled_default_config
 from repro.accelerator.extensor import (
@@ -46,14 +46,13 @@ from repro.accelerator.extensor import (
     VARIANT_PRESCIENT,
 )
 from repro.experiments.registry import deterministic_payload, to_jsonable
-from repro.experiments.runner import CACHE
 from repro.experiments.scheduler import (
     EvaluationRequest,
     EvaluationScheduler,
     ScheduleStats,
     format_schedule,
 )
-from repro.model.stats import geometric_mean
+from repro.model.stats import PerformanceReport, geometric_mean
 from repro.tensor.kernels import kernel_spec
 from repro.tensor.suite import WorkloadSuite
 from repro.tensor.synth import specs_by_workload_name
@@ -388,13 +387,16 @@ def plan_grid(suite: WorkloadSuite, *,
     )
 
 
-def collect_result(plan: GridPlan, stats: ScheduleStats) -> SweepResult:
+def collect_result(plan: GridPlan, stats: ScheduleStats,
+                   reports: Mapping[tuple, Dict[str, PerformanceReport]]
+                   ) -> SweepResult:
     """Assemble the :class:`SweepResult` of an evaluated plan.
 
-    Every cell should already be warm (prefetched, store-served, or
-    computed); this reads reports out of the process cache by memo key and
-    aggregates.  Shared by :func:`sweep_grid` and the shard ``merge`` so
-    both produce artifacts from literally the same code path.
+    ``reports`` holds every cell's reports by memo key, as the plan's
+    prefetch resolved them (its ``into``); collection never reads the
+    bounded report memo, which a large grid outgrows.  Shared by
+    :func:`sweep_grid`, the shard ``merge`` and the daemon's ``/sweep``
+    so all produce artifacts from literally the same code path.
     """
     synth_specs = specs_by_workload_name(plan.suite)
     names = plan.suite.names
@@ -407,10 +409,10 @@ def collect_result(plan: GridPlan, stats: ScheduleStats) -> SweepResult:
         cells = plan.requests[index * len(names):(index + 1) * len(names)]
         for request in cells:
             name = request.workload
-            reports = CACHE.evaluate(request.memo_key, plan.suite)
-            naive = reports[VARIANT_NAIVE]
-            prescient = reports[VARIANT_PRESCIENT]
-            overbooking = reports[overbooking_name]
+            cell = reports[request.memo_key]
+            naive = cell[VARIANT_NAIVE]
+            prescient = cell[VARIANT_PRESCIENT]
+            overbooking = cell[overbooking_name]
             spec = synth_specs.get(name)
             point_rows.append(SweepRow(
                 overbooking_target=point.overbooking_target,
@@ -501,13 +503,14 @@ def sweep_grid(suite: WorkloadSuite, *,
         store.write_manifest(plan.signature,
                              plan.manifest_payload("in-progress"))
 
-    stats = scheduler.prefetch(list(plan.requests))
+    reports: Dict[tuple, Dict[str, PerformanceReport]] = {}
+    stats = scheduler.prefetch(list(plan.requests), into=reports)
 
     if store is not None:
         store.write_manifest(plan.signature, plan.manifest_payload(
             "complete", computed=stats.computed, store_hits=stats.store_hits))
 
-    return collect_result(plan, stats)
+    return collect_result(plan, stats, reports)
 
 
 def format_summaries(result: SweepResult) -> str:

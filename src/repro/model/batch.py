@@ -57,9 +57,14 @@ from repro.model.stats import PerformanceReport, TrafficBreakdown
 from repro.model.traffic import FetchPolicy, LevelTraffic
 from repro.model.workload import WorkloadDescriptor
 from repro.tiling.base import OccupancyReductions
+from repro.utils.lru import LRU
 
 #: A grid cell: the architecture to evaluate and the ExTensor-OB target ``y``.
 GridConfig = Tuple[ArchitectureConfig, float]
+
+#: Entries each evaluator's per-``y`` tiling dicts keep.  A full ``repro run``
+#: needs at most ~300, so only a long-lived process ever evicts.
+TILING_STATE_ENTRIES = 1024
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +154,7 @@ def _fetch_totals(fit_sum: np.ndarray, over_sum: np.ndarray,
 class BatchWorkloadEvaluator:
     """Evaluate one workload across a grid of ``(architecture, y)`` configs.
 
-    Instances accumulate tiling caches (tilings via ``matrix.memo``,
+    Instances keep bounded tiling caches (tilings via ``matrix.memo``,
     occupancy reductions on the tilings), so evaluating a ``y × GLB × PE``
     grid costs the per-point engine's array work only once per *distinct
     tiling*, plus one broadcast pass over the config axis.
@@ -166,15 +171,17 @@ class BatchWorkloadEvaluator:
         self._b_by_columns = self._b.transpose()
         self._naive = AcceleratorVariant.naive()
         self._prescient = AcceleratorVariant.prescient()
-        self._ob_variants: Dict[float, AcceleratorVariant] = {}
+        # Every dict keyed by ``y`` gains entries with each fresh ``y``, so
+        # each is an LRU of TILING_STATE_ENTRIES entries.
+        self._ob_variants: LRU = LRU(TILING_STATE_ENTRIES)
         #: (variant key, operand, capacity, fifo) -> (TilerResult, reductions).
-        self._levels: Dict[tuple, tuple] = {}
+        self._levels: LRU = LRU(TILING_STATE_ENTRIES)
         #: (variant key, glb cap, pe cap, fifo fractions) -> everything about a
         #: config that depends only on capacities: the 19 reduction ints of
         #: the four levels plus the capacity-only report scalars.  One dict
         #: hit covers the whole ``num_pes × bandwidth`` axis of a grid.
-        self._quads: Dict[tuple, tuple] = {}
-        self._tilers: Dict[object, object] = {}
+        self._quads: LRU = LRU(TILING_STATE_ENTRIES)
+        self._tilers: LRU = LRU(TILING_STATE_ENTRIES)
         self._compute_cycles: Dict[int, float] = {}
         # Workload constants, resolved once (the scipy nnz property chain and
         # the float conversions are measurable per-cell costs at grid scale).

@@ -2,8 +2,9 @@
 
 Three layers, importable separately:
 
-* :mod:`repro.server.service` — :class:`EvaluationService`, the coalescing
-  loop that turns many clients' requests into shared scheduler passes.
+* :mod:`repro.server.service` — :class:`EvaluationService`, the
+  group-commit loop that turns many clients' requests into shared
+  scheduler passes.
 * :mod:`repro.server.http` — the stdlib HTTP front end
   (:func:`create_server` / :func:`serve`) streaming chunked JSON lines.
 * :mod:`repro.server.client` — the stdlib client (:class:`ServerClient`)
@@ -13,7 +14,6 @@ Three layers, importable separately:
 from repro.server.client import ServerClient, StreamOutcome, artifact_bytes
 from repro.server.http import ReproServer, create_server, serve
 from repro.server.service import (
-    DEFAULT_BATCH_WINDOW,
     EvaluationService,
     ServiceClosed,
     ServiceError,
@@ -21,7 +21,6 @@ from repro.server.service import (
 )
 
 __all__ = [
-    "DEFAULT_BATCH_WINDOW",
     "EvaluationService",
     "ReproServer",
     "ServerClient",

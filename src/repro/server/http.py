@@ -27,7 +27,8 @@ three drivers as JSON endpoints:
 
 ``GET /stats``
     Service counters (passes, coalesced cells, memo/store hits, warm hit
-    rate) plus the shared store's session counters.
+    rate), the report memo's size, capacity and evictions, and the shared
+    store's session counters.
 
 ``GET /health``
     Liveness probe.
@@ -64,11 +65,7 @@ from repro.experiments.schema import (
 from repro.experiments.scheduler import ScheduleStats
 from repro.experiments.search import search_frontier
 from repro.experiments.sweep import collect_result, plan_grid
-from repro.server.service import (
-    DEFAULT_BATCH_WINDOW,
-    EvaluationService,
-    ServiceClosed,
-)
+from repro.server.service import EvaluationService, ServiceClosed
 
 #: The request each streamed endpoint decodes its body into.
 REQUESTS = {"/sweep": GridRequest, "/run": RunRequest,
@@ -254,7 +251,8 @@ class _Handler(BaseHTTPRequestHandler):
                 if event["event"] == "error":
                     self._end_stream()
                     return
-        result = collect_result(plan, ScheduleStats(**schedule))
+        result = collect_result(plan, ScheduleStats(**schedule),
+                                ticket.reports)
         if store is not None:
             store.write_manifest(plan.signature, plan.manifest_payload(
                 "complete", computed=schedule["computed"],
@@ -322,7 +320,6 @@ class ReproServer(ThreadingHTTPServer):
 
 def create_server(*, host: str = "127.0.0.1", port: int = 0, store=None,
                   max_workers: Optional[int] = None,
-                  batch_window: float = DEFAULT_BATCH_WINDOW,
                   verbose: bool = False) -> ReproServer:
     """Bind a :class:`ReproServer` (``port=0`` picks a free port).
 
@@ -330,8 +327,7 @@ def create_server(*, host: str = "127.0.0.1", port: int = 0, store=None,
     ``server_close()`` then ``service.close(drain=True)`` — or use
     :func:`serve`, which does all three.
     """
-    service = EvaluationService(store=store, max_workers=max_workers,
-                                batch_window=batch_window)
+    service = EvaluationService(store=store, max_workers=max_workers)
     return ReproServer((host, port), service, verbose=verbose)
 
 

@@ -1,12 +1,10 @@
-"""Coalescing evaluation service: the scheduler as a shared resident loop.
+"""Group-commit evaluation service: the scheduler as a shared resident loop.
 
 The CLI pipeline treats :class:`~repro.experiments.scheduler.
 EvaluationScheduler` as a per-process helper — one caller, one batch, one
-fan-out.  A daemon serving many concurrent clients wants the opposite shape:
-*every* client's evaluation requests funneled into **one** scheduler pass per
-batch window, so overlapping grids are deduplicated across clients exactly
-as they are within one (the fleet-wide dedup of the ROADMAP's
-millions-of-users north star).
+fan-out.  A daemon serving many concurrent clients funnels every client's
+evaluation requests into shared scheduler passes instead, so overlapping
+grids are deduplicated across clients exactly as they are within one.
 
 :class:`EvaluationService` is that funnel:
 
@@ -16,11 +14,12 @@ millions-of-users north star).
 * A ticket whose every cell is already warm in the process memo is
   answered inside ``submit``, in the caller's thread, as a one-ticket pass:
   the same events, ``done`` schedule and counters, with no wait.
-* Any other ticket is queued.  A single **service loop thread** takes the
-  first queued ticket, waits ``batch_window`` seconds collecting whatever
-  else arrives (the coalescing window), unions all tickets' requests, and
-  runs one ``scheduler.prefetch`` over the union.  Requests two tickets
-  share are evaluated once and both tickets hear about it.
+* Any other ticket is queued for the single **service loop thread**, which
+  group-commits: when idle, it starts a ticket's pass at once; every ticket
+  that queued while a pass ran joins the next pass, and the loop unions
+  their requests into one ``scheduler.prefetch``.  Requests two tickets
+  share are evaluated once and both tickets hear about it, and a cell one
+  pass computed is a memo hit for the tickets queued behind it.
 * Per-cell completion events stream to subscribed tickets *as cells finish*
   (via the scheduler's ``on_result`` hook), tagged with where the cell came
   from: ``"memo"`` (already warm in-process), ``"store"`` (on-disk report
@@ -29,6 +28,9 @@ millions-of-users north star).
   :class:`~repro.experiments.store.ReportStore` the moment it completes
   (the scheduler persists per-request), so the fleet-wide hit rate only
   climbs.
+* A finished ticket carries its cells' reports (:attr:`Ticket.reports`),
+  as its pass resolved them: the process report memo is a bounded LRU, so
+  a reader never goes back to it.
 
 Serializing cold passes through one loop thread is a feature, not a
 limitation: a resident service gets its concurrency from coalescing — many
@@ -45,22 +47,15 @@ graceful shutdown graceful, then shuts the scheduler's worker pool down.
 from __future__ import annotations
 
 import dataclasses
-import math
 import queue
 import threading
-import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import CACHE
 from repro.experiments.scheduler import EvaluationRequest, EvaluationScheduler
-
-#: Default coalescing window in seconds: long enough that a burst of
-#: concurrent clients lands in one scheduler pass, short enough to be
-#: invisible next to any cold evaluation.  Only tickets with a cold cell
-#: wait it; fully warm tickets are answered at submit.
-DEFAULT_BATCH_WINDOW = 0.05
+from repro.model.stats import PerformanceReport
 
 
 class ServiceError(RuntimeError):
@@ -79,7 +74,8 @@ class Ticket:
     """One client's view of a submitted batch: a private event stream.
 
     A fully warm batch's ticket is already finished when ``submit``
-    returns; its events wait in the stream.
+    returns; its events wait in the stream.  Once ``done`` is in the
+    stream, :attr:`reports` holds every cell's reports by memo key.
 
     Events are plain JSON-ready dicts:
 
@@ -99,6 +95,7 @@ class Ticket:
 
     def __init__(self, requests: Sequence[EvaluationRequest]):
         self.requests: List[EvaluationRequest] = list(requests)
+        self.reports: Dict[tuple, Dict[str, PerformanceReport]] = {}
         self._events: "queue.SimpleQueue[dict]" = queue.SimpleQueue()
 
     def _emit(self, event: dict) -> None:
@@ -172,8 +169,8 @@ def _cell_event(request: EvaluationRequest, source: str) -> dict:
 
 
 class EvaluationService:
-    """The coalescing funnel in front of one shared scheduler (see module
-    docstring).
+    """The group-commit funnel in front of one shared scheduler (see
+    module docstring).
 
     Parameters
     ----------
@@ -183,28 +180,16 @@ class EvaluationService:
         computes (the scheduler's usual durable tier, now fleet-shared).
     max_workers:
         Forwarded to the underlying scheduler.
-    batch_window:
-        Seconds the loop waits after the first ticket of a pass for more
-        tickets to coalesce with it (fully warm tickets never queue).
-        ``0`` disables waiting (each pass takes whatever is queued at that
-        instant); a negative or non-finite window raises
-        :class:`ValueError`.
     auto_start:
         ``False`` leaves the loop unstarted; tests then drive passes
         deterministically with :meth:`step`.
     """
 
     def __init__(self, *, store=None, max_workers: Optional[int] = None,
-                 batch_window: float = DEFAULT_BATCH_WINDOW,
                  auto_start: bool = True):
-        batch_window = float(batch_window)
-        if not (math.isfinite(batch_window) and batch_window >= 0):
-            raise ValueError("the batch window must be a finite number of "
-                             f"seconds >= 0, got {batch_window}")
         self.store = store
         self.scheduler = EvaluationScheduler(
             max_workers=max_workers, store=store)
-        self.batch_window = batch_window
         self.counters = ServiceCounters()
         self._queue: "queue.Queue" = queue.Queue()
         self._lock = threading.Lock()
@@ -219,13 +204,14 @@ class EvaluationService:
     # ------------------------------------------------------------------ #
     def submit(self, requests: Sequence[EvaluationRequest]) -> Ticket:
         """Answer a fully warm batch now, as a one-ticket pass in the
-        caller's thread; queue any other batch for the next coalesced
-        pass.  Returns its ticket."""
+        caller's thread; queue any other batch for the loop's next pass.
+        Returns its ticket."""
         ticket = Ticket(requests)
         with self._lock:
             if self._closed:
                 raise ServiceClosed("evaluation service is shut down")
-            warm = all(request.memo_key in CACHE.reports
+            # get(), not ``in``: a hit refreshes the cell in the LRU memo.
+            warm = all(CACHE.reports.get(request.memo_key) is not None
                        for request in ticket.requests)
             if not warm:
                 self._queue.put(ticket)
@@ -234,9 +220,13 @@ class EvaluationService:
         return ticket
 
     def stats(self) -> dict:
-        """Counters for the ``/stats`` endpoint (service + store session)."""
+        """Counters for the ``/stats`` endpoint (service, report memo and
+        store session)."""
         with self._lock:
             payload = self.counters.to_jsonable()
+        memo = CACHE.reports
+        payload["memo"] = {"cells": len(memo), "capacity": memo.capacity,
+                           "evictions": memo.evictions}
         if self.store is not None:
             session = self.store.session
             payload["store_session"] = {
@@ -276,57 +266,44 @@ class EvaluationService:
         else:
             # Never started (auto_start=False): settle the queue in-line so
             # close() keeps its drain contract without a loop thread.
-            self._settle_queue(drain)
+            self._finish(self._take_queued()[0], drain)
         self.scheduler.close()
 
     # ------------------------------------------------------------------ #
     # The service loop
     # ------------------------------------------------------------------ #
     def _loop(self) -> None:
+        """Group commit: block until a ticket arrives, then run it together
+        with every ticket queued meanwhile as one pass, at once."""
         while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                self._settle_queue(self._drain)
+            tickets, stop = self._take_queued(self._queue.get())
+            if stop:
+                self._finish(tickets, self._drain)
                 return
-            batch = [item]
-            stop_after = False
-            deadline = time.monotonic() + self.batch_window
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    extra = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if extra is _SHUTDOWN:
-                    stop_after = True
-                    break
-                batch.append(extra)
-            self._run_pass(batch)
-            if stop_after:
-                self._settle_queue(self._drain)
-                return
+            self._run_pass(tickets)
 
-    def _settle_queue(self, drain: bool) -> None:
-        """Process (or fail) every ticket still queued at shutdown."""
-        leftover: List[Ticket] = []
+    def _take_queued(self, *first) -> Tuple[List[Ticket], bool]:
+        """``first`` plus every item queued now, as tickets, and whether
+        the shutdown sentinel was among them."""
+        items = list(first)
         while True:
             try:
-                item = self._queue.get_nowait()
+                items.append(self._queue.get_nowait())
             except queue.Empty:
                 break
-            if item is not _SHUTDOWN:
-                leftover.append(item)
-        if not leftover:
-            return
+        tickets = [item for item in items if item is not _SHUTDOWN]
+        return tickets, len(tickets) < len(items)
+
+    def _finish(self, tickets: List[Ticket], drain: bool) -> None:
+        """Run (``drain``) or fail the tickets left at shutdown."""
         if drain:
-            self._run_pass(leftover)
-        else:
-            for ticket in leftover:
-                ticket._emit({"event": "error",
-                              "detail": "service shut down before this "
-                                        "batch ran"})
+            if tickets:
+                self._run_pass(tickets)
+            return
+        for ticket in tickets:
+            ticket._emit({"event": "error",
+                          "detail": "service shut down before this batch "
+                                    "ran"})
 
     def step(self) -> int:
         """Run everything currently queued as one pass (test/manual mode).
@@ -334,14 +311,7 @@ class EvaluationService:
         Returns the number of tickets processed.  Only meaningful with
         ``auto_start=False`` — with the loop running, it would race it.
         """
-        pending: List[Ticket] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN:
-                pending.append(item)
+        pending, _ = self._take_queued()
         if pending:
             self._run_pass(pending)
         return len(pending)
@@ -364,17 +334,10 @@ class EvaluationService:
             for ticket in subscribers.get(request.memo_key, ()):
                 ticket._emit(event)
 
-        # Cells already warm in the process memo are announced immediately —
-        # the scheduler never schedules them, so its hook never fires.
-        for key, request in unique.items():
-            if key in CACHE.reports:
-                emit_cell(request, None, "memo")
-
+        resolved: Dict[tuple, Dict[str, PerformanceReport]] = {}
         try:
             stats = self.scheduler.prefetch(
-                list(unique.values()),
-                on_result=lambda request, reports, source:
-                    emit_cell(request, reports, source))
+                list(unique.values()), on_result=emit_cell, into=resolved)
         except Exception:  # noqa: BLE001 - fail every coalesced ticket
             detail = traceback.format_exc()
             for ticket in tickets:
@@ -392,4 +355,6 @@ class EvaluationService:
 
         schedule = dataclasses.asdict(stats)
         for ticket in tickets:
+            ticket.reports = {request.memo_key: resolved[request.memo_key]
+                              for request in ticket.requests}
             ticket._emit({"event": "done", "schedule": schedule})

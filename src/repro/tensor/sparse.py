@@ -24,10 +24,15 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.utils.lru import LRU
 from repro.utils.validation import check_positive_int
 
 #: Monotonically increasing identity tokens for cache keys (see ``uid``).
 _UID_COUNTER = itertools.count()
+
+#: Entries each matrix's ``memo`` keeps.  Tiler results there gain one per
+#: fresh ``y``; a full ``repro run`` needs at most ~120 per matrix.
+MEMO_ENTRIES = 1024
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -94,7 +99,7 @@ class SparseMatrix:
         # caches below are what lets the evaluation pipeline re-tile, re-scan
         # and re-transpose the same operand at array speed.
         self._uid = next(_UID_COUNTER)
-        self._memo: Dict = {}
+        self._memo = LRU(MEMO_ENTRIES)
         self._transpose_cache: Optional["SparseMatrix"] = None
         self._coords_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._row_block_occ_cache: Dict[int, np.ndarray] = {}
@@ -144,13 +149,14 @@ class SparseMatrix:
         return self._uid
 
     @property
-    def memo(self) -> Dict:
+    def memo(self) -> LRU:
         """Instance-scoped cache for derived results keyed by the caller.
 
         The matrix is immutable, so any pure function of it may store its
         result here (tilers cache :class:`~repro.core.overbooking.TilerResult`
-        objects keyed by strategy and capacity).  Entries live exactly as long
-        as the matrix, so the cache cannot leak across workloads.
+        objects keyed by strategy and capacity).  It keeps the
+        :data:`MEMO_ENTRIES` most recently used entries and dies with the
+        matrix, so it cannot leak across workloads or across ``y`` values.
         """
         return self._memo
 
@@ -342,12 +348,12 @@ class DenseOperand:
         check_positive_int(num_cols, "num_cols")
         self._num_rows = int(num_rows)
         self._num_cols = int(num_cols)
-        self._memo: Dict = {}
+        self._memo = LRU(MEMO_ENTRIES)
         self._transpose_cache: Optional["DenseOperand"] = None
         self._row_block_occ_cache: Dict[int, np.ndarray] = {}
 
     @property
-    def memo(self) -> Dict:
+    def memo(self) -> LRU:
         """Instance-scoped cache for derived results (see :attr:`SparseMatrix.memo`)."""
         return self._memo
 

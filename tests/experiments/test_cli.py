@@ -1,14 +1,17 @@
 """CLI smoke tests (in-process via ``repro.cli.main``)."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import cli
 from repro.cli import main
+from repro.experiments import registry
 from repro.experiments.runner import clear_process_caches
 from repro.experiments.scheduler import EvaluationScheduler
 from repro.experiments.store import ReportStore
+from repro.tensor.corpus import CorpusError
 
 
 class TestList:
@@ -44,6 +47,31 @@ class TestRun:
 
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert [e["experiment"] for e in manifest["experiments"]] == ["fig7"]
+
+    def test_failed_experiment_still_leaves_a_manifest(
+            self, tmp_path, capsys, monkeypatch):
+        """An experiment that raises ends the run with exit 2, and the
+        manifest lists the experiments that finished and names the one
+        that failed."""
+        def unreachable(context, **params):
+            raise CorpusError("mirror unreachable and the cache is cold")
+
+        failing = dataclasses.replace(registry.get("table2"),
+                                      compute=unreachable)
+        monkeypatch.setitem(registry._REGISTRY, "table2", failing)
+        code = main(["run", "fig7", "table2", "--suite", "quick",
+                     "--workers", "1", "--quiet",
+                     "--output-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: mirror unreachable" in err
+        assert "[table2] failed after 1 finished experiment(s)" in err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [entry["experiment"] for entry in manifest["experiments"]] == [
+            "fig7"]
+        assert (tmp_path / manifest["experiments"][0]["path"]).exists()
+        assert manifest["failed"] == "table2"
+        assert not (tmp_path / "table2.json").exists()
 
     def test_run_all_quick_writes_every_artifact(self, tmp_path):
         code = main(["run", "--all", "--suite", "quick", "--workers", "1",
@@ -116,15 +144,11 @@ class TestRequestErrors:
         ["run", "fig7", "--workers", "-3", "--no-artifacts"],
         ["search", "--workers", "0", "--no-artifacts"],
         ["serve", "--port", "0", "--workers", "0"],
-        ["serve", "--port", "0", "--batch-window", "inf"],
-        ["serve", "--port", "0", "--batch-window", "nan"],
-        ["serve", "--port", "0", "--batch-window", "-1"],
     ], ids=["unknown-workload", "empty-y", "zero-generations",
             "surrogate-budget-above-1", "negative-target",
             "unknown-experiment", "sweep-zero-workers",
             "run-negative-workers", "search-zero-workers",
-            "serve-zero-workers", "infinite-batch-window",
-            "nan-batch-window", "negative-batch-window"])
+            "serve-zero-workers"])
     def test_bad_request_exits_2_with_an_error_line(self, capsys,
                                                     monkeypatch, argv):
         """The schema's RequestError is a usage error, not a traceback.  A

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from repro.accelerator.extensor import VARIANT_NAIVE, VARIANT_PRESCIENT
+from repro.cli import main
 from repro.core import overbooking
 from repro.experiments.runner import (
     CACHE,
@@ -20,9 +21,12 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scheduler import EvaluationScheduler, requests_for_context
 from repro.experiments.store import ReportStore
+from repro.experiments.sweep import plan_grid
+from repro.model import batch
 from repro.model.batch import BatchWorkloadEvaluator
 from repro.model.workload import WorkloadDescriptor
-from repro.tensor.suite import shared_matrix_cache_size
+from repro.tensor import sparse
+from repro.tensor.suite import shared_matrix_cache_size, small_suite
 
 
 @pytest.fixture()
@@ -197,3 +201,85 @@ def test_unequal_report_is_never_replaced(work):
         variant: dataclasses.replace(report)
         for variant, report in held.items()})
     assert again[VARIANT_NAIVE] is held[VARIANT_NAIVE]
+
+
+SWEEP = ["sweep", "--suite", "quick", "--y", "0.05,0.10,0.22",
+         "--glb-scales", "0.5,1.0", "--workers", "1"]
+SWEEP_CELLS = 3 * 3 * 2  # workloads × y × GLB scales
+
+
+def test_sweep_past_the_memo_capacity_evaluates_each_cell_once(
+        tmp_path, monkeypatch, capsys):
+    """A grid larger than the report memo is collected from its own
+    prefetch: each cell is evaluated once, and ``sweep.json``/``sweep.csv``
+    equal an unbounded run's byte for byte."""
+    clear_process_caches()
+    assert main(SWEEP + ["--output-dir", str(tmp_path / "unbounded")]) == 0
+
+    clear_process_caches()
+    primed = []
+    prime = BatchWorkloadEvaluator.prime
+
+    def counted_prime(self, configs):
+        primed.append(len(configs))
+        return prime(self, configs)
+
+    monkeypatch.setattr(BatchWorkloadEvaluator, "prime", counted_prime)
+    monkeypatch.setattr(CACHE.reports, "capacity", 4)
+    evictions = CACHE.reports.evictions
+    assert main(SWEEP + ["--output-dir", str(tmp_path / "bounded")]) == 0
+    assert sum(primed) == SWEEP_CELLS
+    assert len(CACHE.reports) == 4
+    assert CACHE.reports.evictions - evictions == SWEEP_CELLS - 4
+    for name in ("sweep.json", "sweep.csv"):
+        assert ((tmp_path / "bounded" / name).read_bytes()
+                == (tmp_path / "unbounded" / name).read_bytes())
+
+
+def test_evicted_cells_leave_the_y_independent_index(monkeypatch):
+    """The N/P index holds its reports weakly: once every cell of an
+    architecture is evicted, so are its shared N and P reports."""
+    clear_process_caches()
+    suite = small_suite()
+    first = list(plan_grid(suite, y_values=[0.05]).requests)
+    second = list(plan_grid(suite, y_values=[0.05], glb_scales=[0.5]).requests)
+    monkeypatch.setattr(CACHE.reports, "capacity", len(first))
+    with EvaluationScheduler(max_workers=1) as scheduler:
+        scheduler.prefetch(first)
+        assert {key[1] for key in CACHE.y_independent} == {
+            first[0].architecture}
+        scheduler.prefetch(second)
+    assert {key[1] for key in CACHE.y_independent} == {
+        second[0].architecture}
+
+
+def test_per_y_tiling_state_stays_under_its_cap(monkeypatch):
+    """Every fresh ``y`` adds OB tilings to the evaluators and the matrix
+    memos; both stay at their caps and the reports do not change."""
+    y_values = [round(0.01 * step, 2) for step in range(1, 31)]
+
+    def reports_at_every_y():
+        clear_process_caches()
+        context = ExperimentContext.quick()
+        reports = {}
+        with EvaluationScheduler(max_workers=1) as scheduler:
+            for y in y_values:
+                scheduler.prefetch(requests_for_context(
+                    context.with_overbooking_target(y)), into=reports)
+        return reports
+
+    unbounded = reports_at_every_y()
+    monkeypatch.setattr(batch, "TILING_STATE_ENTRIES", 8)
+    monkeypatch.setattr(sparse, "MEMO_ENTRIES", 8)
+    assert reports_at_every_y() == unbounded
+
+    evaluators = list(CACHE.evaluators.values())
+    states = [state for evaluator in evaluators
+              for state in (evaluator._levels, evaluator._quads,
+                            evaluator._tilers, evaluator._ob_variants)]
+    memos = [matrix.memo for evaluator in evaluators
+             for matrix in (evaluator.workload.a, evaluator._b_by_columns)]
+    assert all(len(cache) <= 8 for cache in states + memos)
+    assert all(state.evictions > 0 for state in states)
+    assert all(memo.evictions > 0 for memo in memos)
+    clear_process_caches()  # later tests get matrices at the real cap

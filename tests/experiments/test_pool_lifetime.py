@@ -107,7 +107,7 @@ def test_sweep_grid_leaves_a_passed_scheduler_open(test_suite, pools):
 
 def test_service_close_releases_the_pool(test_suite, pools):
     clear_process_caches()
-    service = EvaluationService(max_workers=2, batch_window=0)
+    service = EvaluationService(max_workers=2)
     try:
         ticket = service.submit(_requests(test_suite, 0.05, 0.10))
         ticket.wait()

@@ -1,4 +1,4 @@
-"""Evaluation daemon integration: coalescing, byte-identity, shutdown.
+"""Evaluation daemon integration: group commit, byte-identity, shutdown.
 
 The server's contract is that it is *transparent*: any artifact fetched
 through it is byte-identical to the one the serial CLI path writes, no
@@ -13,13 +13,16 @@ import http.client
 import json
 import socket
 import threading
-import time
 from collections import Counter
 
 import pytest
 
 from repro.cli import main
-from repro.experiments.runner import clear_process_caches
+from repro.experiments.runner import (
+    CACHE,
+    REPORT_MEMO_CELLS,
+    clear_process_caches,
+)
 from repro.experiments.store import LEASES_DIR, ReportStore
 from repro.experiments.sweep import plan_grid
 from repro.server.http import MAX_BODY_BYTES
@@ -39,12 +42,29 @@ def _requests(y_values=(0.05,)):
     return list(plan_grid(small_suite(), y_values=list(y_values)).requests)
 
 
+class HeldPrefetch:
+    """A scheduler seam: every ``prefetch`` of ``service`` signals
+    ``entered`` and then blocks until ``release`` is set, so a test can
+    hold a pass in flight without timing anything."""
+
+    def __init__(self, service):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._prefetch = service.scheduler.prefetch
+        service.scheduler.prefetch = self
+
+    def __call__(self, *args, **kwargs):
+        self.entered.set()
+        assert self.release.wait(60), "test never released the pass"
+        return self._prefetch(*args, **kwargs)
+
+
 @pytest.fixture()
 def live_server(tmp_path):
     """A daemon on a free port over a fresh store; drained at teardown."""
     clear_process_caches()
     store = ReportStore(tmp_path / "store")
-    server = create_server(port=0, store=store, batch_window=0.05)
+    server = create_server(port=0, store=store)
     thread = threading.Thread(target=serve, args=(server,))
     thread.start()
     host, port = server.server_address[:2]
@@ -61,7 +81,7 @@ def live_server(tmp_path):
 
 
 class TestService:
-    """The coalescing loop, driven deterministically (no timing windows)."""
+    """The group-commit loop, driven deterministically (no timing)."""
 
     def test_concurrent_tickets_coalesce_into_one_pass(self):
         clear_process_caches()
@@ -167,6 +187,26 @@ class TestService:
         with pytest.raises(ServiceClosed):
             service.submit(_requests())
 
+    def test_hot_grid_survives_a_stream_of_fresh_y(self, monkeypatch):
+        """The memo is an LRU, not a FIFO: a grid re-requested between
+        fresh-``y`` grids stays warm in a memo two grids large."""
+        clear_process_caches()
+        hot = _requests((0.05,))
+        monkeypatch.setattr(CACHE.reports, "capacity", 2 * len(hot))
+        evictions = CACHE.reports.evictions
+        service = EvaluationService(max_workers=1, auto_start=False)
+        service.submit(hot)
+        service.step()
+        for step in range(10):
+            service.submit(_requests((0.30 + step / 100,)))
+            assert service.step() == 1
+            ticket = service.submit(hot)
+            assert service.step() == 0
+            assert {event["source"] for event in self._queued_events(ticket)
+                    if event["event"] == "cell"} == {"memo"}
+        assert CACHE.reports.evictions - evictions == 9 * len(hot)
+        service.close()
+
     def test_close_drains_queued_tickets(self, tmp_path):
         """Graceful shutdown: a ticket queued (in flight) at close() time is
         still evaluated to completion, not dropped."""
@@ -189,10 +229,31 @@ class TestService:
         with pytest.raises(ServiceError, match="shut down"):
             ticket.wait()
 
-    @pytest.mark.parametrize("window", [float("inf"), float("nan"), -0.01])
-    def test_bad_batch_window_is_refused(self, window):
-        with pytest.raises(ValueError, match="batch window"):
-            EvaluationService(batch_window=window, auto_start=False)
+    def test_tickets_queued_during_a_pass_join_the_next_pass(self):
+        """Group commit: the first ticket's pass starts at once; the two
+        tickets that queue while it runs share the next pass, which
+        computes the cells they share once."""
+        clear_process_caches()
+        service = EvaluationService(max_workers=1)
+        held = HeldPrefetch(service)
+        first = service.submit(_requests((0.33,)))
+        assert held.entered.wait(60)
+        second = service.submit(_requests((0.05, 0.10)))
+        third = service.submit(_requests((0.10, 0.22)))
+        held.release.set()
+        for ticket in (first, second, third):
+            ticket.wait()
+        service.close()
+
+        cells = len(small_suite().names)
+        counters = service.counters
+        assert (counters.passes, counters.tickets) == (2, 3)
+        assert counters.coalesced == cells          # the y=0.10 cells
+        assert counters.computed == 4 * cells       # each y once
+        assert second.reports.keys() == {r.memo_key for r in second.requests}
+        shared = [r.memo_key for r in _requests((0.10,))]
+        assert all(second.reports[key] is third.reports[key]
+                   for key in shared)
 
     def test_pass_failure_fails_every_coalesced_ticket(self):
         clear_process_caches()
@@ -225,14 +286,16 @@ class TestHTTPEndpoints:
         assert stats["memo_hits"] == 3
         assert stats["store_session"]["writes"] == 3
         assert 0.0 < stats["warm_hit_rate"] <= 1.0
+        assert stats["memo"]["cells"] == 3
+        assert stats["memo"]["capacity"] == REPORT_MEMO_CELLS
+        assert stats["memo"]["evictions"] >= 0
 
     def test_store_tier_serves_a_cold_process(self, tmp_path):
         """A second daemon over the same store serves the first one's work
         from disk — the fleet-wide warm path."""
         store_dir = tmp_path / "store"
         clear_process_caches()
-        server = create_server(port=0, store=ReportStore(store_dir),
-                               batch_window=0.0)
+        server = create_server(port=0, store=ReportStore(store_dir))
         thread = threading.Thread(target=serve, args=(server,))
         thread.start()
         client = ServerClient(*server.server_address[:2])
@@ -244,8 +307,7 @@ class TestHTTPEndpoints:
             thread.join(timeout=60)
 
         clear_process_caches()  # "new process": memo gone, store remains
-        server = create_server(port=0, store=ReportStore(store_dir),
-                               batch_window=0.0)
+        server = create_server(port=0, store=ReportStore(store_dir))
         thread = threading.Thread(target=serve, args=(server,))
         thread.start()
         client = ServerClient(*server.server_address[:2])
@@ -472,29 +534,6 @@ class TestHotPath:
         client.shutdown()
 
 
-    def test_hot_repeat_skips_the_coalescing_window(self, tmp_path):
-        """Only a ticket with a cold cell waits the window: at a 1 s window
-        the cold first sweep takes at least 1 s, its hot repeat less."""
-        clear_process_caches()
-        server = create_server(port=0, store=ReportStore(tmp_path / "store"),
-                               batch_window=1.0)
-        thread = threading.Thread(target=serve, args=(server,))
-        thread.start()
-        client = ServerClient(*server.server_address[:2])
-        try:
-            seconds = []
-            for _ in range(2):
-                start = time.monotonic()
-                client.sweep(**self.GRID)
-                seconds.append(time.monotonic() - start)
-        finally:
-            client.shutdown()
-            thread.join(timeout=60)
-        cold, hot = seconds
-        assert cold >= 1.0
-        assert hot < 1.0
-
-
 class TestGracefulShutdown:
     def test_shutdown_drains_in_flight_request(self, tmp_path):
         """A /shutdown racing an in-flight /sweep: the sweep still streams
@@ -502,7 +541,8 @@ class TestGracefulShutdown:
         no lease files in the store, no shm segments (autouse check)."""
         clear_process_caches()
         store = ReportStore(tmp_path / "store")
-        server = create_server(port=0, store=store, batch_window=0.3)
+        server = create_server(port=0, store=store)
+        held = HeldPrefetch(server.service)
         thread = threading.Thread(target=serve, args=(server,))
         thread.start()
         host, port = server.server_address[:2]
@@ -518,9 +558,10 @@ class TestGracefulShutdown:
         first = json.loads(response.readline())
         assert first["event"] == "plan"
 
-        # The ticket now sits in the 0.3s coalescing window; shut down
-        # while it is unambiguously in flight.
+        # Shut down while the ticket's pass is held in flight.
+        assert held.entered.wait(60)
         ServerClient(host, port).shutdown()
+        held.release.set()
 
         events = [json.loads(line) for line in response if line.strip()]
         assert events[-1]["event"] == "result"
