@@ -4,8 +4,10 @@ entry point ever runs.
 
 Runs every production entry point — the CLI commands CI smokes (``run``,
 ``sweep``, ``store``, shards and ``merge``, ``search``, synth, corpus and
-``--matrix`` workloads), the evaluation daemon with a client driving it, the
-``examples/`` and the ``scripts/`` — each in a fresh interpreter at
+``--matrix`` workloads), a ``run`` and a ``sweep`` on the full suite (the
+only callers of the code that builds its larger workloads), the evaluation
+daemon with a client driving it, the ``examples/`` and the ``scripts/`` —
+each in a fresh interpreter at
 ``--workers 1`` under ``sys.settrace`` and ``threading.settrace``.  It then
 merges the lines every run executed and prints, per module, how many
 executable lines were never reached, followed by every function that was
@@ -57,6 +59,10 @@ _SEARCH_SYNTH = ("--synth", "uniform:n=400,nnz=3000",
                  "--y", "0.02,0.05,0.10,0.22", "--glb-scales", "0.5,1.0,2.0",
                  "--pe-scales", "1.0", "--generations", "3", "--workers", "1")
 _QUICK_Y = ("--suite", "quick", "--y", "0.05,0.10")
+#: Every registered experiment but table5, which reads real corpora.
+_FULL_SUITE_EXPERIMENTS = ("table1", "table2", "table3", "table4", "fig1",
+                           "fig5", "fig7", "fig8", "fig9", "fig10", "fig11",
+                           "fig12", "fig13", "fig14")
 
 #: ``(name, argv, extra environment, expected exit status)``, run in order in
 #: one scratch directory (later entries read the stores earlier ones wrote).
@@ -67,6 +73,12 @@ ENTRY_POINTS: Tuple[Tuple[str, Tuple[str, ...], Dict[str, str], int], ...] = (
     ("help", ("-m", "repro", "--help"), {}, 0),
     ("run --all", ("-m", "repro", "run", "--suite", "quick", "--all",
                    "--workers", "1", "--output-dir", "artifacts"), {}, 0),
+    ("run --suite full", ("-m", "repro", "run", *_FULL_SUITE_EXPERIMENTS,
+                          "--suite", "full", "--workers", "1",
+                          "--output-dir", "artifacts/full", "--quiet"), {}, 0),
+    ("sweep --suite full", ("-m", "repro", "sweep", "--suite", "full",
+                            "--workers", "1",
+                            "--output-dir", "artifacts/full"), {}, 0),
     *((f"run fig7 --kernel {kernel}",
        ("-m", "repro", "run", "fig7", "--suite", "quick", "--kernel", kernel,
         "--workers", "1", "--output-dir", f"artifacts/{kernel}", "--quiet"),

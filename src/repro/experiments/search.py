@@ -375,7 +375,8 @@ def search_frontier(suite: WorkloadSuite, *,
     computation — so a warm re-search over a covering store replays the
     cold run byte-for-byte with ``computed == 0``.
     """
-    check_axes(y_values, glb_scales, pe_scales, kernels)
+    base = base_architecture or scaled_default_config()
+    check_axes(y_values, glb_scales, pe_scales, kernels, base)
     check_search_knobs(max_generations, surrogate_budget)
     if workloads is not None:
         suite = suite.subset(list(workloads))
@@ -383,7 +384,6 @@ def search_frontier(suite: WorkloadSuite, *,
     constraint_list: List[Constraint] = [parse_constraint(item)
                                          for item in (constraints or ())]
     synth_specs = specs_by_workload_name(suite)
-    base = base_architecture or scaled_default_config()
 
     axes = {
         "y": sorted(_round(y) for y in y_values),

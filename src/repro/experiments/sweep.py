@@ -232,21 +232,32 @@ def sweep_signature(suite: WorkloadSuite, *, y_values, glb_scales, pe_scales,
 
 
 def check_axes(y_values: Sequence[float], glb_scales: Sequence[float],
-               pe_scales: Sequence[float], kernels: Sequence[str]) -> None:
-    """Reject an empty axis, a ``y`` outside [0, 1] or a nonpositive scale
+               pe_scales: Sequence[float], kernels: Sequence[str],
+               base: Optional[ArchitectureConfig] = None) -> None:
+    """Reject an empty axis, a ``y`` outside [0, 1], a nonpositive scale or
+    one that scales a capacity of ``base`` (default: the scaled default
+    architecture) past the batched evaluator's ``int64`` columns
     (``ValueError``), or an unknown kernel (``KeyError``)."""
+    base = base or scaled_default_config()
     if not y_values:
         raise ValueError("y_values must not be empty: every axis needs a "
                          "value")
     bad = [y for y in y_values if not 0.0 <= float(y) <= 1.0]
     if bad:
         raise ValueError(f"overbooking targets must be in [0, 1], got {bad}")
-    for name, scales in (("glb_scales", glb_scales), ("pe_scales", pe_scales)):
+    for name, scales, words in (
+            ("glb_scales", glb_scales, base.glb_capacity_words),
+            ("pe_scales", pe_scales, base.pe_buffer_capacity_words)):
         if not scales:
             raise ValueError(f"{name} must not be empty")
         bad = [scale for scale in scales if not 0.0 < float(scale) < math.inf]
         if bad:
             raise ValueError(f"{name} must be positive and finite, got {bad}")
+        bad = [scale for scale in scales if float(scale) * words >= 2.0 ** 63]
+        if bad:
+            raise ValueError(f"{name} {bad} scale the {words}-word base "
+                             f"capacity past 2**63 words, the evaluator's "
+                             f"int64 range")
     if not kernels:
         raise ValueError("kernels must not be empty")
     for kernel in kernels:
@@ -342,8 +353,8 @@ def plan_grid(suite: WorkloadSuite, *,
     subcommands call it too, so every cooperating process agrees on the cell
     set, the request order, and the manifest signature.
     """
-    check_axes(y_values, glb_scales, pe_scales, kernels)
     base = base_architecture or scaled_default_config()
+    check_axes(y_values, glb_scales, pe_scales, kernels, base)
     if workloads is not None:
         suite = suite.subset(list(workloads))
 

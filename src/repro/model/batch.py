@@ -62,20 +62,10 @@ from repro.utils.lru import LRU
 #: A grid cell: the architecture to evaluate and the ExTensor-OB target ``y``.
 GridConfig = Tuple[ArchitectureConfig, float]
 
-#: Entries each evaluator's per-``y`` tiling dicts keep.  A full ``repro run``
-#: needs at most ~300, so only a long-lived process ever evicts.
+#: Entries each evaluator's ``_quads`` LRU keeps.  It gains entries with
+#: each fresh ``y``; a full ``repro run`` needs at most ~300, so only a
+#: long-lived process ever evicts.
 TILING_STATE_ENTRIES = 1024
-
-
-@lru_cache(maxsize=None)
-def _energy_model(glb_capacity_words: int, pe_buffer_capacity_words: int,
-                  word_bits: int) -> EnergyModel:
-    """The engine's default energy table, shared across grid cells."""
-    return EnergyModel.for_architecture(
-        glb_capacity_words=glb_capacity_words,
-        pe_buffer_capacity_words=pe_buffer_capacity_words,
-        word_bits=word_bits,
-    )
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +73,7 @@ def _pe_array(num_pes: int) -> PEArray:
     return PEArray(num_pes=num_pes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _energy_table(glb_capacity_words: int, pe_buffer_capacity_words: int,
                   word_bits: int) -> tuple:
     """Per-action energies of the engine's five components, as flat floats.
@@ -91,10 +81,13 @@ def _energy_table(glb_capacity_words: int, pe_buffer_capacity_words: int,
     The batched path inlines ``EnergyModel.report`` (same multiplies and
     adds, same component order, minus the per-cell validation): these are the
     exact ``read_pj`` / ``write_pj`` values the per-point engine multiplies
-    with.
+    with.  Bounded, because every fresh capacity scale adds an entry.
     """
-    components = _energy_model(glb_capacity_words, pe_buffer_capacity_words,
-                               word_bits).components
+    components = EnergyModel.for_architecture(
+        glb_capacity_words=glb_capacity_words,
+        pe_buffer_capacity_words=pe_buffer_capacity_words,
+        word_bits=word_bits,
+    ).components
     return tuple(
         pj
         for name in ("dram", "global_buffer", "pe_buffer", "mac",
@@ -154,10 +147,11 @@ def _fetch_totals(fit_sum: np.ndarray, over_sum: np.ndarray,
 class BatchWorkloadEvaluator:
     """Evaluate one workload across a grid of ``(architecture, y)`` configs.
 
-    Instances keep bounded tiling caches (tilings via ``matrix.memo``,
-    occupancy reductions on the tilings), so evaluating a ``y × GLB × PE``
-    grid costs the per-point engine's array work only once per *distinct
-    tiling*, plus one broadcast pass over the config axis.
+    Tiler results are memoized in ``matrix.memo`` and occupancy reductions
+    on the tilings, so evaluating a ``y × GLB × PE`` grid costs the
+    per-point engine's array work only once per *distinct tiling*, plus one
+    broadcast pass over the config axis.  The evaluator's own cache is one
+    bounded LRU, ``_quads``, of the per-capacity row inputs.
 
     Hand the whole grid to :meth:`prime`, which returns one report set per
     cell; :meth:`reports` is the single-cell form, without the cross-config
@@ -167,35 +161,25 @@ class BatchWorkloadEvaluator:
     def __init__(self, workload: WorkloadDescriptor):
         self.workload = workload
         self._a = workload.a
-        self._b = workload.b
-        self._b_by_columns = self._b.transpose()
+        self._b_by_columns = workload.b.transpose()
         self._naive = AcceleratorVariant.naive()
         self._prescient = AcceleratorVariant.prescient()
-        # Every dict keyed by ``y`` gains entries with each fresh ``y``, so
-        # each is an LRU of TILING_STATE_ENTRIES entries.
-        self._ob_variants: LRU = LRU(TILING_STATE_ENTRIES)
-        #: (variant key, operand, capacity, fifo) -> (TilerResult, reductions).
-        self._levels: LRU = LRU(TILING_STATE_ENTRIES)
         #: (variant key, glb cap, pe cap, fifo fractions) -> everything about a
         #: config that depends only on capacities: the 19 reduction ints of
-        #: the four levels plus the capacity-only report scalars.  One dict
-        #: hit covers the whole ``num_pes × bandwidth`` axis of a grid.
+        #: the four levels plus the capacity-only report scalars.  One hit
+        #: covers the whole ``num_pes × bandwidth`` axis of a grid.
         self._quads: LRU = LRU(TILING_STATE_ENTRIES)
-        self._tilers: LRU = LRU(TILING_STATE_ENTRIES)
-        self._compute_cycles: Dict[int, float] = {}
         # Workload constants, resolved once (the scipy nnz property chain and
         # the float conversions are measurable per-cell costs at grid scale).
-        self._a_nnz = int(self._a.nnz)
-        self._b_nnz = int(self._b.nnz)
-        self._a_nnz_f = float(self._a_nnz)
-        self._b_nnz_f = float(self._b_nnz)
+        a_nnz, b_nnz = int(self._a.nnz), int(workload.b.nnz)
+        self._a_nnz_f = float(a_nnz)
+        self._b_nnz_f = float(b_nnz)
         self._effectual = workload.effectual_multiplies
         self._output_writes = (float(workload.output_nonzeros)
                                * _OUTPUT_WORDS_PER_NONZERO)
         self._pe_buffer_reads = 2.0 * self._effectual
         self._mac_reads = float(self._effectual)
-        self._intersection_steps = (2.0 * self._effectual
-                                    + (self._a_nnz + self._b_nnz))
+        self._intersection_steps = 2.0 * self._effectual + (a_nnz + b_nnz)
 
     # ------------------------------------------------------------------ #
     # Public surface
@@ -222,8 +206,13 @@ class BatchWorkloadEvaluator:
         """
         pending: Dict[tuple, tuple] = {}
         cells = []
+        ob_variants: Dict[float, AcceleratorVariant] = {}
         for architecture, overbooking_target in configs:
-            ob = self._ob_variant(overbooking_target)
+            ob = ob_variants.get(overbooking_target)
+            if ob is None:
+                ob = ob_variants[overbooking_target] = (
+                    AcceleratorVariant.overbooking(
+                        overbooking_target=overbooking_target))
             keys = []
             for key, spec, variant_key in (
                     (("N", architecture), self._naive.spec, "N"),
@@ -250,56 +239,27 @@ class BatchWorkloadEvaluator:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _ob_variant(self, overbooking_target: float) -> AcceleratorVariant:
-        variant = self._ob_variants.get(overbooking_target)
-        if variant is None:
-            variant = AcceleratorVariant.overbooking(
-                overbooking_target=overbooking_target)
-            self._ob_variants[overbooking_target] = variant
-        return variant
-
-    def _tiled(self, variant_key, spec: VariantSpec, operand: str, matrix,
-               capacity: int, fifo_words: int) -> tuple:
-        """One level's ``(TilerResult, OccupancyReductions)``, cached.
-
-        Tiler results are memoized on the operand matrices, so these are the
-        *same objects* the per-point engine uses; the evaluator-local cache
-        just skips re-hashing the tiler parameters per cell.
-        """
-        key = (variant_key, operand, capacity, fifo_words)
-        entry = self._levels.get(key)
-        if entry is None:
-            tiler = self._tilers.get(variant_key)
-            if tiler is None:
-                tiler = spec.make_tiler()
-                self._tilers[variant_key] = tiler
-            result = tiler.tile(matrix, capacity)
-            entry = (result,
-                     result.tiling.occupancy_reductions(capacity, fifo_words))
-            self._levels[key] = entry
-        return entry
-
-    def _quad(self, variant_key, spec: VariantSpec,
-              arch: ArchitectureConfig) -> tuple:
+    def _quad(self, spec: VariantSpec, arch: ArchitectureConfig) -> tuple:
         """Everything about a config that only its capacities determine.
 
         Returns ``(reduction ints, block_rows, tax, glb rate/util/bumped,
         pe rate/util)`` — the per-row inputs of :meth:`_evaluate_rows` that
         are invariant along the ``num_pes`` / bandwidth / frequency axes, so
-        the gather loop pays one dict lookup instead of four level lookups
-        and ~25 attribute reads per row.
+        the gather loop pays one LRU lookup instead of four tilings and ~25
+        attribute reads per row.  The tiler results come from the operands'
+        ``memo`` (the *same objects* the per-point engine uses) and the
+        reductions from the tilings' own cache.
         """
-        glb_cap = arch.glb_capacity_words
-        pe_cap = arch.pe_buffer_capacity_words
-        glb_a = self._tiled(variant_key, spec, "A", self._a, glb_cap,
-                            arch.glb_fifo_words)
-        glb_b = self._tiled(variant_key, spec, "B", self._b_by_columns,
-                            glb_cap, arch.glb_fifo_words)
-        pe_a = self._tiled(variant_key, spec, "A", self._a, pe_cap,
-                           arch.pe_fifo_words)
-        pe_b = self._tiled(variant_key, spec, "B", self._b_by_columns,
-                           pe_cap, arch.pe_fifo_words)
-        r_ga, r_gb, r_pa, r_pb = glb_a[1], glb_b[1], pe_a[1], pe_b[1]
+        tiler = spec.make_tiler()
+        levels = []
+        for capacity, fifo_words in (
+                (arch.glb_capacity_words, arch.glb_fifo_words),
+                (arch.pe_buffer_capacity_words, arch.pe_fifo_words)):
+            for matrix in (self._a, self._b_by_columns):
+                result = tiler.tile(matrix, capacity)
+                levels.append((result, result.tiling.occupancy_reductions(
+                    capacity, fifo_words)))
+        (glb_a, r_ga), (_, r_gb), (_, r_pa), (_, r_pb) = levels
         ints = (
             r_ga.num_tiles, r_gb.num_tiles, r_pa.num_tiles, r_pb.num_tiles,
             r_gb.chunks, r_pb.chunks,
@@ -308,21 +268,11 @@ class BatchWorkloadEvaluator:
             r_gb.fit_sum, r_gb.over_sum, r_gb.over_count, r_gb.resident,
             r_pa.fit_sum, r_pa.over_sum, r_pa.over_count, r_pa.resident,
         )
-        tax = (glb_a[0].tax.total_elements
-               + glb_b[0].tax.total_elements
-               + pe_a[0].tax.total_elements
-               + pe_b[0].tax.total_elements)
-        return (ints, glb_a[0].block_rows, tax,
+        tax = sum(result.tax.total_elements for result, _ in levels)
+        return (ints, glb_a.block_rows, tax,
                 _overbooking_rate(r_ga), _buffer_utilization(r_ga),
                 _bumped_fraction(r_ga),
                 _overbooking_rate(r_pa), _buffer_utilization(r_pa))
-
-    def _cycles_of(self, num_pes: int) -> float:
-        cycles = self._compute_cycles.get(num_pes)
-        if cycles is None:
-            cycles = _pe_array(num_pes).compute_cycles(self._effectual)
-            self._compute_cycles[num_pes] = cycles
-        return cycles
 
     def _evaluate_rows(self, policy: FetchPolicy, rows: Sequence[tuple],
                        reports: Dict[tuple, PerformanceReport]) -> None:
@@ -348,7 +298,7 @@ class BatchWorkloadEvaluator:
                         arch.glb_fifo_fraction, arch.pe_fifo_fraction)
             quad = quad_cache.get(quad_key)
             if quad is None:
-                quad = self._quad(variant_key, spec, arch)
+                quad = self._quad(spec, arch)
                 quad_cache[quad_key] = quad
             quads.append(quad)
             ints.extend(quad[0])
@@ -411,7 +361,8 @@ class BatchWorkloadEvaluator:
         # ``LevelTraffic`` property sums and ``EnergyModel.report`` products,
         # in the same association order, on the same float64 values).
         output_writes = self._output_writes
-        compute_cycles = np.array([self._cycles_of(pes)
+        effectual = self._effectual
+        compute_cycles = np.array([_pe_array(pes).compute_cycles(effectual)
                                    for pes in num_pes.tolist()])
         dram_total_reads = dram_sr + dram_st
         glb_total_reads = glb_sr + glb_st
@@ -436,27 +387,14 @@ class BatchWorkloadEvaluator:
         data_reuse = np.maximum(
             0.0, 1.0 - (actual_fetches - self._a_nnz_f) / reusable)
 
-        dram_sr = dram_sr.tolist()
-        dram_sb = dram_sb.tolist()
-        dram_st = dram_st.tolist()
-        glb_sr = glb_sr.tolist()
-        glb_sb = glb_sb.tolist()
-        glb_st = glb_st.tolist()
-        dram_cycles = dram_cycles.tolist()
-        glb_cycles = glb_cycles.tolist()
-        compute_cycles = compute_cycles.tolist()
-        cycles = cycles.tolist()
-        e_dram = e_dram.tolist()
-        e_glb = e_glb.tolist()
-        e_pe = e_pe.tolist()
-        e_mac = e_mac.tolist()
-        e_isect = e_isect.tolist()
-        data_reuse = data_reuse.tolist()
-        num_a_glb = num_a_glb.tolist()
-        num_b_glb = num_b_glb.tolist()
-        num_a_pe = num_a_pe.tolist()
-        num_b_pe = num_b_pe.tolist()
-        rounds_per_pair = rounds_per_pair.tolist()
+        (dram_sr, dram_sb, dram_st, glb_sr, glb_sb, glb_st, dram_cycles,
+         glb_cycles, compute_cycles, cycles, e_dram, e_glb, e_pe, e_mac,
+         e_isect, data_reuse, num_a_glb, num_b_glb, num_a_pe, num_b_pe,
+         rounds_per_pair) = [column.tolist() for column in (
+             dram_sr, dram_sb, dram_st, glb_sr, glb_sb, glb_st, dram_cycles,
+             glb_cycles, compute_cycles, cycles, e_dram, e_glb, e_pe, e_mac,
+             e_isect, data_reuse, num_a_glb, num_b_glb, num_a_pe, num_b_pe,
+             rounds_per_pair)]
 
         # Report construction seeds each frozen dataclass's ``__dict__``
         # directly instead of calling ``__init__``: every field value is
@@ -469,7 +407,6 @@ class BatchWorkloadEvaluator:
         workload_name = workload.name
         output_nonzeros = workload.output_nonzeros
         kernel = workload.kernel
-        effectual = self._effectual
         for i, (key, arch, spec, variant_key) in enumerate(rows):
             (_, block_rows, tax, glb_rate, glb_util, bumped,
              pe_rate, pe_util) = quads[i]

@@ -81,9 +81,16 @@ SERVER_LOCAL_FIELDS = frozenset({"matrix", "corpus", "corpus_manifest"})
 #: Largest request body the daemon reads; a longer one is answered 413.
 MAX_BODY_BYTES = 1 << 20
 
+#: Largest ``|y| · |glb_scales| · |pe_scales| · |kernels|`` a ``/sweep`` or
+#: ``/search`` may name, and the most ``synth`` specs a body may list; more is
+#: answered 413.  Larger grids run through the CLI, sharded if need be.
+MAX_GRID_POINTS = 4096
+MAX_SYNTH_SPECS = 64
+
 
 class PayloadTooLarge(RequestError):
-    """A body over :data:`MAX_BODY_BYTES` (HTTP 413)."""
+    """A body over :data:`MAX_BODY_BYTES`, :data:`MAX_GRID_POINTS` or
+    :data:`MAX_SYNTH_SPECS` (HTTP 413)."""
 
     status = 413
 
@@ -91,10 +98,10 @@ class PayloadTooLarge(RequestError):
 def decode_request(path: str, body: dict):
     """The schema request a JSON object ``body`` POSTed to ``path`` names.
 
-    Only JSON types are checked here — a list field must be a list (or
-    ``null``, meaning unset) and a boolean a JSON bool — and unknown keys
-    and server-local suite sources are refused.  The schema's
-    ``__post_init__`` validates every value; everything raises
+    Only JSON types and the daemon's size limits are checked here — a list
+    field must be a list (or ``null``, meaning unset) and a boolean a JSON
+    bool — and unknown keys and server-local suite sources are refused.
+    The schema's ``__post_init__`` validates every value; everything raises
     :class:`RequestError`.
     """
     cls = REQUESTS[path]
@@ -118,7 +125,19 @@ def decode_request(path: str, body: dict):
             raise RequestError(f"{key!r} must be a JSON boolean, got "
                                f"{type(value).__name__}")
         values[key] = value
-    return cls(**values)
+    if len(values.get("synth", ())) > MAX_SYNTH_SPECS:
+        raise PayloadTooLarge(f"{len(values['synth'])} synth specs exceed "
+                              f"the daemon's limit of {MAX_SYNTH_SPECS}")
+    request = cls(**values)
+    if isinstance(request, GridRequest):
+        points = (len(request.y) * len(request.glb_scales)
+                  * len(request.pe_scales) * len(request.kernels))
+        if points > MAX_GRID_POINTS:
+            raise PayloadTooLarge(
+                f"a grid of {points} points (y × glb_scales × pe_scales × "
+                f"kernels) exceeds the daemon's limit of {MAX_GRID_POINTS}; "
+                f"run larger grids with the CLI")
+    return request
 
 
 class _Handler(BaseHTTPRequestHandler):

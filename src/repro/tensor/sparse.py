@@ -19,7 +19,7 @@ the engines from its shape alone, without storing a value or a coordinate.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,8 +30,9 @@ from repro.utils.validation import check_positive_int
 #: Monotonically increasing identity tokens for cache keys (see ``uid``).
 _UID_COUNTER = itertools.count()
 
-#: Entries each matrix's ``memo`` keeps.  Tiler results there gain one per
-#: fresh ``y``; a full ``repro run`` needs at most ~120 per matrix.
+#: Entries each matrix's ``memo`` keeps.  Tiler results and row-block scans
+#: there gain some with each fresh ``y``; a full ``repro run`` needs at most
+#: ~120 per matrix.
 MEMO_ENTRIES = 1024
 
 
@@ -95,15 +96,14 @@ class SparseMatrix:
         self._csr = csr
         self._name = str(name)
         # Memoized derived results.  A SparseMatrix is immutable, so every
-        # pure function of the matrix can be cached on the instance; the
-        # caches below are what lets the evaluation pipeline re-tile, re-scan
-        # and re-transpose the same operand at array speed.
+        # pure function of the matrix can be cached on the instance: the
+        # bounded ``memo`` holds whatever has one entry per parameter value
+        # (tilings, occupancy scans, products); the transpose and the
+        # coordinates have one value per matrix.
         self._uid = next(_UID_COUNTER)
         self._memo = LRU(MEMO_ENTRIES)
         self._transpose_cache: Optional["SparseMatrix"] = None
         self._coords_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._row_block_occ_cache: Dict[int, np.ndarray] = {}
-        self._tile_occ_cache: Dict[Tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -153,8 +153,10 @@ class SparseMatrix:
         """Instance-scoped cache for derived results keyed by the caller.
 
         The matrix is immutable, so any pure function of it may store its
-        result here (tilers cache :class:`~repro.core.overbooking.TilerResult`
-        objects keyed by strategy and capacity).  It keeps the
+        result here under a key tagged with its name (tilers cache
+        :class:`~repro.core.overbooking.TilerResult` objects keyed by
+        strategy and capacity; the occupancy scans below cache their
+        arrays).  It keeps the
         :data:`MEMO_ENTRIES` most recently used entries and dies with the
         matrix, so it cannot leak across workloads or across ``y`` values.
         """
@@ -275,8 +277,8 @@ class SparseMatrix:
         """
         check_positive_int(tile_rows, "tile_rows")
         check_positive_int(tile_cols, "tile_cols")
-        key = (tile_rows, tile_cols)
-        counts = self._tile_occ_cache.get(key)
+        key = ("tile_occupancies", tile_rows, tile_cols)
+        counts = self._memo.get(key)
         if counts is None:
             grid_rows = -(-self.num_rows // tile_rows)
             grid_cols = -(-self.num_cols // tile_cols)
@@ -284,7 +286,7 @@ class SparseMatrix:
             tile_ids = (rows // tile_rows) * grid_cols + (cols // tile_cols)
             counts = np.bincount(tile_ids, minlength=grid_rows * grid_cols)
             counts = _read_only(counts.astype(np.int64))
-            self._tile_occ_cache[key] = counts
+            self._memo[key] = counts
         if include_empty:
             return counts
         return counts[counts > 0]
@@ -298,14 +300,15 @@ class SparseMatrix:
         buffer tile fits or overbooks.
         """
         check_positive_int(block_rows, "block_rows")
-        cached = self._row_block_occ_cache.get(block_rows)
+        key = ("row_block_occupancies", block_rows)
+        cached = self._memo.get(key)
         if cached is None:
             indptr = self._csr.indptr
             boundaries = np.arange(0, self.num_rows + block_rows, block_rows)
             boundaries = np.clip(boundaries, 0, self.num_rows)
             cumulative = indptr[boundaries]
             cached = _read_only(np.diff(cumulative).astype(np.int64))
-            self._row_block_occ_cache[block_rows] = cached
+            self._memo[key] = cached
         return cached
 
     # ------------------------------------------------------------------ #
@@ -350,7 +353,6 @@ class DenseOperand:
         self._num_cols = int(num_cols)
         self._memo = LRU(MEMO_ENTRIES)
         self._transpose_cache: Optional["DenseOperand"] = None
-        self._row_block_occ_cache: Dict[int, np.ndarray] = {}
 
     @property
     def memo(self) -> LRU:
@@ -389,12 +391,13 @@ class DenseOperand:
     def row_block_occupancies(self, block_rows: int) -> np.ndarray:
         """Band heights × ``num_cols`` (see :meth:`SparseMatrix.row_block_occupancies`)."""
         check_positive_int(block_rows, "block_rows")
-        cached = self._row_block_occ_cache.get(block_rows)
+        key = ("row_block_occupancies", block_rows)
+        cached = self._memo.get(key)
         if cached is None:
             boundaries = np.arange(0, self._num_rows + block_rows, block_rows)
             heights = np.diff(np.clip(boundaries, 0, self._num_rows))
             cached = _read_only(heights.astype(np.int64) * self._num_cols)
-            self._row_block_occ_cache[block_rows] = cached
+            self._memo[key] = cached
         return cached
 
     def transpose(self) -> "DenseOperand":

@@ -198,8 +198,8 @@ class WorkloadSuite:
         self._specs: Dict[str, WorkloadSpec] = {spec.name: spec for spec in specs}
         self._order: List[str] = names
         self._seed = int(seed)
-        self._cache: Dict[str, SparseMatrix] = {}
-        self._pair_cache: Dict[str, SparseMatrix] = {}
+        #: ``(name,)`` -> A operand, ``(name, "pair")`` -> paired B operand.
+        self._cache: Dict[tuple, SparseMatrix] = {}
         self._stream_indices: Dict[str, int] = {
             name: index for index, name in enumerate(names)
         }
@@ -260,23 +260,7 @@ class WorkloadSuite:
         the suite it was first defined in), so building workloads in any
         order or subset yields identical matrices.
         """
-        if name not in self._specs:
-            raise KeyError(f"unknown workload {name!r}; known: {self._order}")
-        if name not in self._cache:
-            index = self._stream_indices[name]
-            shared_key = None
-            if self._cache_scope is not None:
-                shared_key = (self._cache_scope, self._seed, name)
-                shared = _SHARED_MATRIX_CACHE.get(shared_key)
-                if shared is not None:
-                    self._cache[name] = shared
-                    return shared
-            stream = np.random.default_rng(self._seed * 1_000_003 + index)
-            built = self._specs[name].build(stream)
-            self._cache[name] = built
-            if shared_key is not None:
-                _SHARED_MATRIX_CACHE[shared_key] = built
-        return self._cache[name]
+        return self._built(name)
 
     def paired_matrix(self, name: str) -> SparseMatrix:
         """Build (and cache) the paired ``B`` operand for workload ``name``.
@@ -287,24 +271,31 @@ class WorkloadSuite:
         stream (``stream index + _PAIR_STREAM_OFFSET``), i.e. a fresh
         instance of the same structure class.
         """
+        return self._built(name, "pair")
+
+    def _built(self, name: str, *role: str) -> SparseMatrix:
+        """The cached operand ``(name, *role)``: built on this suite's stream
+        for it, or shared process-wide for a canonical suite."""
         if name not in self._specs:
             raise KeyError(f"unknown workload {name!r}; known: {self._order}")
-        if name not in self._pair_cache:
-            index = self._stream_indices[name]
-            shared_key = None
-            if self._cache_scope is not None:
-                shared_key = (self._cache_scope, self._seed, name, "pair")
-                shared = _SHARED_MATRIX_CACHE.get(shared_key)
-                if shared is not None:
-                    self._pair_cache[name] = shared
-                    return shared
+        key = (name, *role)
+        built = self._cache.get(key)
+        if built is not None:
+            return built
+        shared_key = None
+        if self._cache_scope is not None:
+            shared_key = (self._cache_scope, self._seed, *key)
+            built = _SHARED_MATRIX_CACHE.get(shared_key)
+        if built is None:
+            spec = self._specs[name]
+            offset = _PAIR_STREAM_OFFSET if role else 0
             stream = np.random.default_rng(
-                self._seed * 1_000_003 + _PAIR_STREAM_OFFSET + index)
-            built = self._specs[name].build_pair(stream)
-            self._pair_cache[name] = built
+                self._seed * 1_000_003 + offset + self._stream_indices[name])
+            built = (spec.build_pair if role else spec.build)(stream)
             if shared_key is not None:
                 _SHARED_MATRIX_CACHE[shared_key] = built
-        return self._pair_cache[name]
+        self._cache[key] = built
+        return built
 
     def matrices(self) -> Dict[str, SparseMatrix]:
         """Build all workloads and return them keyed by name."""
@@ -326,11 +317,8 @@ class WorkloadSuite:
             stream_indices={n: self._stream_indices[n] for n in names},
             cache_scope=self._cache_scope,
         )
-        for name in names:
-            if name in self._cache:
-                subset._cache[name] = self._cache[name]
-            if name in self._pair_cache:
-                subset._pair_cache[name] = self._pair_cache[name]
+        subset._cache.update((key, built) for key, built in self._cache.items()
+                             if key[0] in subset)
         return subset
 
 

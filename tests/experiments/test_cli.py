@@ -160,6 +160,17 @@ class TestRequestErrors:
         assert err.startswith("error:"), err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["sweep", "search"])
+    @pytest.mark.parametrize("flag", ["--glb-scales", "--pe-scales"])
+    def test_scale_past_the_int64_range_exits_2(self, capsys, command, flag):
+        """A finite scale whose capacity overflows the evaluator's int64
+        columns is refused before anything is evaluated."""
+        assert main([command, "--suite", "quick", flag, "1e300",
+                     "--workers", "1", "--no-artifacts"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "int64 range" in err, err
+        assert "Traceback" not in err
+
 
 class TestSynthCli:
     def test_run_with_synth_workloads(self, tmp_path, capsys):

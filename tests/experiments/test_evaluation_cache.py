@@ -254,13 +254,15 @@ def test_evicted_cells_leave_the_y_independent_index(monkeypatch):
 
 
 def test_per_y_tiling_state_stays_under_its_cap(monkeypatch):
-    """Every fresh ``y`` adds OB tilings to the evaluators and the matrix
-    memos; both stay at their caps and the reports do not change."""
+    """Every fresh ``y`` adds OB tilings and row-block scans to the operand
+    memos and capacity rows to the evaluators' ``_quads``; both stay at their
+    caps and the reports do not change.  ``spmm`` streams a
+    :class:`~repro.tensor.sparse.DenseOperand`, whose memo is bounded too."""
     y_values = [round(0.01 * step, 2) for step in range(1, 31)]
 
-    def reports_at_every_y():
+    def reports_at_every_y(kernel):
         clear_process_caches()
-        context = ExperimentContext.quick()
+        context = ExperimentContext.quick(kernel=kernel)
         reports = {}
         with EvaluationScheduler(max_workers=1) as scheduler:
             for y in y_values:
@@ -268,18 +270,24 @@ def test_per_y_tiling_state_stays_under_its_cap(monkeypatch):
                     context.with_overbooking_target(y)), into=reports)
         return reports
 
-    unbounded = reports_at_every_y()
-    monkeypatch.setattr(batch, "TILING_STATE_ENTRIES", 8)
-    monkeypatch.setattr(sparse, "MEMO_ENTRIES", 8)
-    assert reports_at_every_y() == unbounded
+    for kernel in ("gram", "spmm"):
+        unbounded = reports_at_every_y(kernel)
+        with monkeypatch.context() as capped:
+            capped.setattr(batch, "TILING_STATE_ENTRIES", 8)
+            capped.setattr(sparse, "MEMO_ENTRIES", 8)
+            assert reports_at_every_y(kernel) == unbounded
 
-    evaluators = list(CACHE.evaluators.values())
-    states = [state for evaluator in evaluators
-              for state in (evaluator._levels, evaluator._quads,
-                            evaluator._tilers, evaluator._ob_variants)]
-    memos = [matrix.memo for evaluator in evaluators
-             for matrix in (evaluator.workload.a, evaluator._b_by_columns)]
-    assert all(len(cache) <= 8 for cache in states + memos)
-    assert all(state.evictions > 0 for state in states)
-    assert all(memo.evictions > 0 for memo in memos)
+        evaluators = list(CACHE.evaluators.values())
+        assert evaluators
+        quads = [evaluator._quads for evaluator in evaluators]
+        memos = [matrix.memo for evaluator in evaluators
+                 for matrix in (evaluator.workload.a, evaluator._b_by_columns)]
+        assert all(len(cache) <= 8 for cache in quads + memos)
+        assert all(cache.evictions > 0 for cache in quads + memos)
+        if kernel == "spmm":
+            assert all(isinstance(evaluator._b_by_columns, sparse.DenseOperand)
+                       for evaluator in evaluators)
+            assert any(key[0] == "row_block_occupancies"
+                       for evaluator in evaluators
+                       for key in evaluator._b_by_columns.memo)
     clear_process_caches()  # later tests get matrices at the real cap

@@ -25,7 +25,8 @@ from repro.experiments.runner import (
 )
 from repro.experiments.store import LEASES_DIR, ReportStore
 from repro.experiments.sweep import plan_grid
-from repro.server.http import MAX_BODY_BYTES
+from repro.experiments.schema import GridRequest
+from repro.server.http import MAX_BODY_BYTES, MAX_GRID_POINTS, MAX_SYNTH_SPECS
 from repro.server import (
     EvaluationService,
     ServerClient,
@@ -36,6 +37,12 @@ from repro.server import (
     serve,
 )
 from repro.tensor.suite import small_suite
+
+
+#: 17 y × 16 GLB scales × 16 PE scales × 1 kernel: past MAX_GRID_POINTS.
+_OVER_LIMIT_GRID = {"y": [step / 100 for step in range(1, 18)],
+                    "glb_scales": [0.5 + step / 16 for step in range(16)],
+                    "pe_scales": [0.5 + step / 16 for step in range(16)]}
 
 
 def _requests(y_values=(0.05,)):
@@ -385,6 +392,39 @@ class TestHTTPEndpoints:
             assert message in json.loads(response.read())["error"]
         finally:
             connection.close()
+
+    @pytest.mark.parametrize("path, body, status, message", [
+        ("/sweep", {"glb_scales": [1e300]}, 400, "int64 range"),
+        ("/search", {"pe_scales": [1e300]}, 400, "int64 range"),
+        ("/sweep", _OVER_LIMIT_GRID, 413, f"limit of {MAX_GRID_POINTS}"),
+        ("/search", _OVER_LIMIT_GRID, 413, f"limit of {MAX_GRID_POINTS}"),
+        ("/run", {"experiments": ["fig7"],
+                  "synth": ["uniform"] * (MAX_SYNTH_SPECS + 1)},
+         413, f"limit of {MAX_SYNTH_SPECS}"),
+    ], ids=["sweep-huge-scale", "search-huge-scale", "sweep-grid",
+            "search-grid", "synth-list"])
+    def test_over_limit_body_is_refused_before_streaming(
+            self, live_server, path, body, status, message):
+        """A scale past the evaluator's int64 range, a grid past
+        MAX_GRID_POINTS and a synth list past MAX_SYNTH_SPECS each get a
+        JSON 4xx naming the limit, never a 200 and an error event."""
+        client, _store = live_server
+        connection = http.client.HTTPConnection(client.host, client.port,
+                                                timeout=60)
+        try:
+            connection.request("POST", path, body=json.dumps(body).encode(),
+                               headers={"Connection": "close"})
+            response = connection.getresponse()
+            assert response.status == status
+            error = json.loads(response.read())["error"]
+            assert message in error and "Traceback" not in error
+        finally:
+            connection.close()
+
+    def test_the_cli_accepts_a_grid_past_the_daemon_limit(self):
+        grid = GridRequest(suite="quick", **_OVER_LIMIT_GRID)
+        assert (len(grid.y) * len(grid.glb_scales) * len(grid.pe_scales)
+                > MAX_GRID_POINTS)
 
     @pytest.mark.parametrize("length, status", [
         ("-1", 400), ("abc", 400), (str(MAX_BODY_BYTES + 1), 413),
